@@ -21,8 +21,8 @@ import json
 import sys
 
 from .errors import InternalInvariantError, ParseError, PreconditionError, WitnessUnavailable
-from .functions import EntireFunction, preimage_roots, ramification_profile, validate
-from .matrices import MatrixQi, apply_poly, is_in_E, is_in_S, segre_at
+from .functions import EntireFunction, validate
+from .matrices import MatrixQi, apply_poly, segre_at
 from .ranges import build_witness, decide_range, describe_range
 from .scalars import parse_scalar, render_scalar
 from .selftest import run_selftest
@@ -108,8 +108,8 @@ def _cmd_classify(args):
     value = parse_scalar(args.value)
     partition = segre_at(a, value)
     return {
-        "in_E": is_in_E(a, value),
-        "in_S": is_in_S(a, value),
+        "in_E": not partition.is_empty(),
+        "in_S": partition.has_nontrivial_block(),
         "segre_partition": list(partition.parts),
     }
 

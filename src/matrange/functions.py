@@ -221,25 +221,21 @@ class PreimageInfo:
 def preimage_roots(f: EntireFunction, value) -> PreimageInfo:
     """Structure of the solution set of f(z) = value."""
     value = Qi(value)
-    if f.kind == "polynomial":
-        shifted = f.poly.shift(value)
-        roots = tuple(gaussian_rational_roots(shifted))
-        mults = tuple(multiplicity_multiset(shifted))
-        complete = sum(r.multiplicity for r in roots) == shifted.degree
-        return PreimageInfo(PreimageKind.FINITE, roots, complete, mults)
     if f.kind == "sin_family":
         if value in (f.a, f.b):
             return PreimageInfo(PreimageKind.INFINITELY_MANY_ALL_MULTIPLICITY_2)
         return PreimageInfo(PreimageKind.INFINITELY_MANY_SIMPLE)
-    # exp-poly family
-    if value == f.v:
-        if f.poly.is_constant():
-            return PreimageInfo(PreimageKind.EMPTY)
-        roots = tuple(gaussian_rational_roots(f.poly))
-        mults = tuple(multiplicity_multiset(f.poly))
-        complete = sum(r.multiplicity for r in roots) == f.poly.degree
-        return PreimageInfo(PreimageKind.FINITE, roots, complete, mults)
-    return PreimageInfo(PreimageKind.INFINITELY_MANY_SIMPLE)
+    if f.kind == "polynomial":
+        p = f.poly.shift(value)
+    elif value != f.v:  # exp-poly family
+        return PreimageInfo(PreimageKind.INFINITELY_MANY_SIMPLE)
+    elif f.poly.is_constant():
+        return PreimageInfo(PreimageKind.EMPTY)
+    else:
+        p = f.poly  # the preimages of v are exactly the zeros of P
+    roots = tuple(gaussian_rational_roots(p))
+    complete = sum(r.multiplicity for r in roots) == p.degree
+    return PreimageInfo(PreimageKind.FINITE, roots, complete, tuple(multiplicity_multiset(p)))
 
 
 def validate(f: EntireFunction) -> RamificationProfile:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import InternalInvariantError
+
 __all__ = ["gaussian_divisors", "UNITS"]
 
 # units of Z[i] as (re, im) pairs
@@ -63,7 +65,7 @@ def _gaussian_primes_over(p):
         b = isqrt(b2)
         if b * b == b2:
             return [(a, b), (a, -b)]
-    raise AssertionError(f"no two-square decomposition found for prime {p}")
+    raise InternalInvariantError(f"no two-square decomposition found for prime {p}")
 
 
 def gaussian_factor(z):
@@ -83,7 +85,8 @@ def gaussian_factor(z):
                 rem, e = q, e + 1
             if e:
                 factors.append((pi, e))
-    assert _norm(rem) == 1
+    if _norm(rem) != 1:
+        raise InternalInvariantError(f"{z} left cofactor {rem} after removing its prime factors")
     return factors
 
 

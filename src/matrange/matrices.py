@@ -27,6 +27,7 @@ __all__ = [
     "segre_at",
     "is_in_E",
     "is_in_S",
+    "jordan_chains",
     "jordan_decomposition",
     "apply_poly",
     "f_of_jordan_block",
@@ -291,7 +292,7 @@ def segre_at(a: MatrixQi, value) -> SegrePartition:
 
 def is_in_E(a: MatrixQi, value) -> bool:
     """Does A have the eigenvalue `value`?"""
-    return char_poly(a)(Qi(value)).is_zero()
+    return (a - MatrixQi.identity(a.n).scale(Qi(value))).rank() < a.n
 
 
 def is_in_S(a: MatrixQi, value) -> bool:
@@ -309,6 +310,36 @@ class JordanDecomposition:
         return self.t.inverse()
 
 
+def jordan_chains(a: MatrixQi, lam) -> list:
+    """Jordan chains of A at lam, longest first, ties in discovery order.
+    Each chain is its columns N^(k-1) v, ..., N v, v for N = A - lam I and a
+    top vector v of length k: the columns of T for one Jordan block at lam."""
+    n = a.n
+    shifted = a - MatrixQi.identity(n).scale(lam)
+    parts = segre_at(a, lam).parts
+    largest = max(parts, default=0)
+    powers = [MatrixQi.identity(n)]
+    for _ in range(largest):
+        powers.append(powers[-1] @ shifted)
+    kernels = [powers[k].kernel_basis() for k in range(largest + 1)]
+    chains = []  # (top vector, length), longest first
+    for k in range(largest, 0, -1):
+        tracker = _SpanTracker(n)
+        for v in kernels[k - 1]:
+            tracker.add(v)
+        for top, length in chains:
+            tracker.add(powers[length - k].apply(top))
+        for v in kernels[k]:
+            if tracker.add(v):
+                chains.append((v, k))
+    sizes = [length for _, length in chains]
+    if sizes != list(parts):
+        raise InternalInvariantError(
+            f"chain construction produced sizes {sizes}, expected {parts}"
+        )
+    return [[powers[j].apply(top) for j in reversed(range(length))] for top, length in chains]
+
+
 def jordan_decomposition(a: MatrixQi) -> JordanDecomposition:
     """Exact (J, T) with A = T J T^-1. Requires the spectrum in Q(i); fails
     loudly otherwise, naming the degrees of the unfactored part.
@@ -317,52 +348,21 @@ def jordan_decomposition(a: MatrixQi) -> JordanDecomposition:
     the result is deterministic and two matrices with equal Jordan structure
     produce identical J."""
     n = a.n
-    cp = char_poly(a)
-    roots = gaussian_rational_roots(cp)
-    if sum(r.multiplicity for r in roots) != n:
-        remaining = cp
-        for r in roots:
-            remaining = remaining.exact_divide(
-                Poly.from_roots([r.root] * r.multiplicity)
-            )
+    roots = gaussian_rational_roots(char_poly(a))
+    outside = n - sum(r.multiplicity for r in roots)
+    if outside:
         raise PreconditionError(
             "spectrum not contained in Q(i): "
-            f"unfactored characteristic polynomial part of degree {remaining.degree}"
+            f"unfactored characteristic polynomial part of degree {outside}"
         )
     columns = []
     ordering = []
-    blocks = []
     for r in roots:  # already in canonical scalar order
-        lam = r.root
-        shifted = a - MatrixQi.identity(n).scale(lam)
-        parts = segre_at(a, lam).parts
-        largest = parts[0]
-        powers = [MatrixQi.identity(n)]
-        for _ in range(largest):
-            powers.append(powers[-1] @ shifted)
-        kernels = [powers[k].kernel_basis() for k in range(largest + 1)]
-        chains = []  # (top vector, length), longest first
-        for k in range(largest, 0, -1):
-            tracker = _SpanTracker(n)
-            for v in kernels[k - 1]:
-                tracker.add(v)
-            for top, length in chains:
-                tracker.add(powers[length - k].apply(top))
-            for v in kernels[k]:
-                if tracker.add(v):
-                    chains.append((v, k))
-        sizes = sorted((length for _, length in chains), reverse=True)
-        if sizes != list(parts):
-            raise InternalInvariantError(
-                f"chain construction produced sizes {sizes}, expected {parts}"
-            )
-        for top, length in chains:
-            for j in range(length - 1, -1, -1):
-                columns.append(powers[j].apply(top))
-            ordering.append((lam, length))
-            blocks.append(MatrixQi.jordan_block(length, lam))
+        for chain in jordan_chains(a, r.root):
+            columns.extend(chain)
+            ordering.append((r.root, len(chain)))
     t = MatrixQi(list(zip(*columns)))  # vectors become columns
-    jmat = MatrixQi.block_diag(blocks)
+    jmat = MatrixQi.block_diag([MatrixQi.jordan_block(k, lam) for lam, k in ordering])
     if a @ t != t @ jmat:
         raise InternalInvariantError("Jordan decomposition failed verification A T = T J")
     return JordanDecomposition(jmat, t, tuple(ordering))

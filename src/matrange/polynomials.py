@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from .errors import ParseError, PreconditionError
+from .errors import InternalInvariantError, ParseError, PreconditionError
 from .gaussints import UNITS, gaussian_divisors
 from .scalars import ONE, ZERO, GaussianRational, Qi, parse_scalar, render_scalar
 
@@ -382,5 +382,6 @@ def critical_value_polynomial(p: Poly) -> Poly:
         a = Qi(j)
         samples.append((a, resultant(p.shift(a), dp)))
     d = interpolate(samples)
-    assert not d.is_zero()
+    if d.is_zero():
+        raise InternalInvariantError("critical value polynomial vanished identically")
     return d

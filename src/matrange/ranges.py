@@ -17,7 +17,7 @@ the oracle wins and the build fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InternalInvariantError, PreconditionError, WitnessUnavailable
@@ -25,7 +25,7 @@ from .functions import (
     EntireFunction,
     RamificationProfile,
     TheoremCase,
-    ramification_profile,
+    preimage_roots,
     validate,
 )
 from .matrices import (
@@ -33,12 +33,13 @@ from .matrices import (
     SegrePartition,
     apply_poly,
     char_poly,
-    is_in_E,
+    f_of_jordan_block,
+    jordan_chains,
     jordan_decomposition,
     segre_at,
 )
 from .polynomials import Poly, gaussian_rational_roots
-from .scalars import GaussianRational, Qi, render_scalar
+from .scalars import ZERO, GaussianRational, Qi, render_scalar
 
 __all__ = [
     "SplitPattern",
@@ -105,7 +106,7 @@ def _multiset_subtract(target, parts):
     return tuple(remaining)
 
 
-def coverable(target, multiplicities, simple_available=False, unlimited_reuse=True):
+def coverable(target, multiplicities, simple_available=False):
     """Express `target` (a partition: multiset of block sizes) as an exact
     multiset union of split patterns whose root multiplicities come from
     `multiplicities` (all >= 2), plus multiplicity 1 if `simple_available`.
@@ -121,8 +122,6 @@ def coverable(target, multiplicities, simple_available=False, unlimited_reuse=Tr
     options = sorted(set(multiplicities) | ({1} if simple_available else set()))
     if any(m < 2 for m in multiplicities):
         raise PreconditionError("preimage multiplicities in M must be >= 2")
-    if not unlimited_reuse:
-        raise PreconditionError("consumable multiplicity pools are not supported")
     memo = {}
 
     def search(rest):
@@ -200,7 +199,9 @@ class RangeVerdict:
     theorem_case: TheoremCase
     blocking: BlockingInfo | None = None
     cover_plan: tuple | None = None
-    witness: MatrixQi | None = None
+    # ((eigenvalue, (Segre parts, {m: preimage roots})), ...) for every Q(i)
+    # eigenvalue of A in canonical order, handed on to build_witness
+    analysis: tuple = field(default=(), compare=False, repr=False)
 
     def render(self):
         out = {"solvable": self.solvable, "case": self.theorem_case.value}
@@ -221,33 +222,29 @@ class RangeVerdict:
                 }
                 for e in self.cover_plan
             ]
-        if self.witness is not None:
-            out["witness"] = self.witness.render()
         return out
 
 
-def _trv_preimage_descriptor(f: EntireFunction, value, m: int) -> str:
-    """Rendered root of multiplicity m when one is known in Q(i), else symbolic."""
-    if f.kind == "polynomial":
-        for r in gaussian_rational_roots(f.poly.shift(value)):
-            if r.multiplicity == m:
-                return render_scalar(r.root)
-        return f"root of multiplicity {m} outside Q(i)"
-    if f.kind == "exp_poly" and value == f.v:
-        for r in gaussian_rational_roots(f.poly):
-            if r.multiplicity == m:
-                return render_scalar(r.root)
-        return f"root of multiplicity {m} outside Q(i)"
-    return f"critical preimage of multiplicity {m}"
+def _preimages(f: EntireFunction, value) -> dict:
+    """{m: Q(i) roots of f - value of multiplicity m, in canonical order}."""
+    by_mult = {}
+    for r in preimage_roots(f, value).roots:  # canonical order already
+        by_mult.setdefault(r.multiplicity, []).append(r.root)
+    return {m: tuple(roots) for m, roots in by_mult.items()}
 
 
-def _simple_preimage_descriptor(f: EntireFunction, value) -> str:
-    if f.kind == "polynomial":
-        for r in gaussian_rational_roots(f.poly.shift(value)):
-            if r.multiplicity == 1:
-                return render_scalar(r.root)
-        return "simple root outside Q(i)"
-    return "simple preimage (transcendental)"
+def _preimage_descriptor(f: EntireFunction, preimages: dict, m: int, trv: bool) -> str:
+    """Rendered canonical-least root of multiplicity m when one is in Q(i),
+    else symbolic."""
+    if m in preimages:
+        return render_scalar(preimages[m][0])
+    if not trv:
+        if f.kind == "polynomial":
+            return "simple root outside Q(i)"
+        return "simple preimage (transcendental)"
+    if f.kind == "sin_family":
+        return f"critical preimage of multiplicity {m}"
+    return f"root of multiplicity {m} outside Q(i)"
 
 
 def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
@@ -258,10 +255,12 @@ def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
     profile = validate(f)
     case = profile.theorem_case
     for v in profile.omitted_values:
-        if is_in_E(a, v):
+        partition = segre_at(a, v)
+        if not partition.is_empty():
             return RangeVerdict(
-                False, case, BlockingInfo(v, BlockingReason.OMITTED_EIGENVALUE, segre_at(a, v))
+                False, case, BlockingInfo(v, BlockingReason.OMITTED_EIGENVALUE, partition)
             )
+    analysis = {}
     plan = []
     for entry in profile.trv_entries:
         partition = segre_at(a, entry.value)
@@ -274,44 +273,43 @@ def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
                 case,
                 BlockingInfo(entry.value, BlockingReason.UNCOVERABLE_PARTITION, partition),
             )
+        preimages = _preimages(f, entry.value)
+        analysis[entry.value] = (partition.parts, preimages)
         for K, m in cover:
             plan.append(
                 CoverPlanEntry(
                     entry.value,
-                    _trv_preimage_descriptor(f, entry.value, m),
+                    _preimage_descriptor(f, preimages, m, trv=True),
                     K,
                     m,
                     split_pattern(K, m).parts,
                 )
             )
-    # non-special eigenvalues never block; list the ones visible over Q(i)
-    special = set(profile.omitted_values) | {e.value for e in profile.trv_entries}
+    # non-special eigenvalues never block; list the ones visible over Q(i).
+    # Away from its TRVs a transcendental f has infinitely many simple
+    # preimages, so only a polynomial's are named.
     for r in gaussian_rational_roots(char_poly(a)):
-        if r.root in special:
+        if r.root in analysis:
             continue
-        for p in segre_at(a, r.root).parts:
-            plan.append(
-                CoverPlanEntry(r.root, _simple_preimage_descriptor(f, r.root), p, 1, (p,))
-            )
-    return RangeVerdict(True, case, cover_plan=tuple(plan))
+        parts = segre_at(a, r.root).parts
+        preimages = _preimages(f, r.root) if f.kind == "polynomial" else {}
+        analysis[r.root] = (parts, preimages)
+        descriptor = _preimage_descriptor(f, preimages, 1, trv=False)
+        for p in parts:
+            plan.append(CoverPlanEntry(r.root, descriptor, p, 1, (p,)))
+    ordered = tuple(sorted(analysis.items(), key=lambda item: item[0].sort_key()))
+    return RangeVerdict(True, case, cover_plan=tuple(plan), analysis=ordered)
 
 
 # -- witness construction ------------------------------------------------------
 
 
-def _roots_by_multiplicity(p: Poly):
-    """{multiplicity: [roots in canonical order]} for Q(i) roots of p."""
-    by_mult = {}
-    for r in gaussian_rational_roots(p):
-        by_mult.setdefault(r.multiplicity, []).append(r.root)
-    for roots in by_mult.values():
-        roots.sort(key=lambda z: z.sort_key())
-    return by_mult
-
-
 def build_witness(f: EntireFunction, a: MatrixQi, verdict: RangeVerdict | None = None) -> MatrixQi:
     """Exact X with f(X) = A, for polynomial f and solvable A with Q(i)
     spectrum and Q(i) preimage roots of the multiplicities the cover needs.
+
+    X = T S^-1 Y S T^-1 with A = T J T^-1, f(Y) = S J S^-1 and Y a direct sum
+    of blocks J_K(z0); S comes block by block from the chains of f(J_K(z0)).
 
     Raises WitnessUnavailable when the verdict stands but no exact witness
     exists over Q(i); InternalInvariantError only on a bug."""
@@ -327,40 +325,38 @@ def build_witness(f: EntireFunction, a: MatrixQi, verdict: RangeVerdict | None =
         raise WitnessUnavailable(
             "decision stands, but A's spectrum leaves Q(i)", {"cause": str(e)}
         ) from e
-    # group A's Jordan blocks by eigenvalue, preserving canonical order
-    partitions = {}
-    order = []
-    for lam, size in dec_a.ordering:
-        if lam not in partitions:
-            partitions[lam] = []
-            order.append(lam)
-        partitions[lam].append(size)
     blocks = []
-    plan = []
-    for lam in order:
-        target = tuple(sorted(partitions[lam], reverse=True))
-        by_mult = _roots_by_multiplicity(f.poly.shift(lam))
+    columns = []
+    ordering = []
+    offset = 0
+    for lam, (parts, preimages) in verdict.analysis:
         cover = coverable(
-            target,
-            [m for m in by_mult if m >= 2],
-            simple_available=1 in by_mult,
+            parts,
+            [m for m in preimages if m >= 2],
+            simple_available=1 in preimages,
         )
         if cover is None:
             raise WitnessUnavailable(
                 "decision stands, but the preimage roots available over Q(i) "
                 f"cannot produce the Jordan structure at {render_scalar(lam)}",
-                {"eigenvalue": render_scalar(lam), "partition": list(target)},
+                {"eigenvalue": render_scalar(lam), "partition": list(parts)},
             )
+        chains = []
         for K, m in cover:
-            z0 = by_mult[m][0]  # canonical-least qualifying root
+            z0 = preimages[m][0]  # canonical-least qualifying root
             blocks.append(MatrixQi.jordan_block(K, z0))
-            plan.append((lam, z0, K, m))
-    y = MatrixQi.block_diag(blocks)
-    fy = apply_poly(f.poly, y)
-    dec_f = jordan_decomposition(fy)
-    if dec_f.j != dec_a.j:
+            pad_above, pad_below = (ZERO,) * offset, (ZERO,) * (a.n - offset - K)
+            for chain in jordan_chains(f_of_jordan_block(f.poly, K, z0), lam):
+                chains.append([pad_above + v + pad_below for v in chain])
+            offset += K
+        chains.sort(key=len, reverse=True)  # stable: ties stay in block order
+        for chain in chains:
+            columns.extend(chain)
+            ordering.append((lam, len(chain)))
+    if tuple(ordering) != dec_a.ordering:
         raise InternalInvariantError("f(Y) and A disagree on canonical Jordan form")
-    s = dec_f.t
+    y = MatrixQi.block_diag(blocks)
+    s = MatrixQi(list(zip(*columns)))  # vectors become columns
     x = dec_a.t @ s.inverse() @ y @ s @ dec_a.t_inverse()
     if apply_poly(f.poly, x) != a:
         raise InternalInvariantError("witness failed exact verification f(X) = A")

@@ -16,7 +16,8 @@ from .polynomials import Poly
 from .ranges import split_pattern, split_pattern_oracle
 from .scalars import GaussianRational, Qi
 
-__all__ = ["run_selftest", "random_scalar", "random_matrix", "random_poly", "random_invertible"]
+__all__ = ["run_selftest", "split_pattern_grid", "random_scalar", "random_matrix", "random_poly",
+           "random_invertible"]
 
 
 def random_scalar(rng, bound=3, denom=2):
@@ -132,16 +133,15 @@ def _check_single_block_criterion(rng, max_n=6):
     return checks, failures
 
 
-def _check_split_pattern_grid(max_k=8, max_m=8):
-    checks = failures = 0
+def split_pattern_grid(max_k=8, max_m=8):
+    """{(K, m): (split_pattern(K, m).parts, [oracle variants that disagree])}."""
+    grid = {}
+    variants = ("simple", "two_factor")
     for k in range(1, max_k + 1):
         for m in range(1, max_m + 1):
-            expected = split_pattern(k, m).parts
-            for variant in ("simple", "two_factor"):
-                checks += 1
-                if split_pattern_oracle(k, m, variant) != expected:
-                    failures += 1
-    return checks, failures
+            parts = split_pattern(k, m).parts
+            grid[k, m] = (parts, [v for v in variants if split_pattern_oracle(k, m, v) != parts])
+    return grid
 
 
 def run_selftest(seed=0):
@@ -158,6 +158,7 @@ def run_selftest(seed=0):
     for name, fn in suites:
         checks, failures = fn(rng)
         results.append({"name": name, "checks": checks, "failures": failures})
-    checks, failures = _check_split_pattern_grid()
-    results.append({"name": "split_pattern_oracle_grid", "checks": checks, "failures": failures})
+    grid = split_pattern_grid()
+    failures = sum(len(bad) for _, bad in grid.values())
+    results.append({"name": "split_pattern_oracle_grid", "checks": 2 * len(grid), "failures": failures})
     return {"seed": seed, "suites": results, "passed": all(r["failures"] == 0 for r in results)}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from matrange.functions import (
     sin_family,
 )
 from matrange.matrices import MatrixQi, apply_poly, jordan_decomposition, segre_at
-from matrange.polynomials import Poly
+from matrange.polynomials import Poly, gaussian_rational_roots
 from matrange.ranges import (
     BlockingReason,
     build_witness,
@@ -256,6 +257,37 @@ def test_one_by_one_reduces_to_scalar_surjectivity():
     assert not decide_range(exp_poly_family(5, Poly([1]), 1, 0), MatrixQi.diagonal([5])).solvable
 
 
+def _plan_preimages(verdict):
+    return [(str(e.eigenvalue), e.preimage) for e in verdict.cover_plan]
+
+
+def test_cover_plan_preimage_strings():
+    a = MatrixQi.block_diag([J(2, 0), J(1, 0), MatrixQi.diagonal([4]), MatrixQi.diagonal([2])])
+    assert _plan_preimages(decide_range(poly_f([0, 0, 1]), a)) == [
+        ("0", "0"),
+        ("2", "simple root outside Q(i)"),
+        ("4", "-2"),
+    ]
+    nilpotent = MatrixQi.block_diag([J(2, 0), J(1, 0)])
+    f = polynomial_function((Poly.monomial(3) - Poly.constant(2)) ** 2)
+    assert _plan_preimages(decide_range(f, nilpotent)) == [
+        ("0", "root of multiplicity 2 outside Q(i)")
+    ]
+    a = MatrixQi.block_diag([J(2, 0), J(1, 0), MatrixQi.diagonal([3])])
+    assert _plan_preimages(decide_range(sin_family(0, 1, 1, 0), a)) == [
+        ("0", "critical preimage of multiplicity 2"),
+        ("3", "simple preimage (transcendental)"),
+    ]
+    a = MatrixQi.block_diag([J(2, 5), J(1, 5)])
+    f = exp_poly_family(5, Poly([0, 0, 1]), 1, 0)
+    assert _plan_preimages(decide_range(f, a)) == [("5", "0")]
+    # 5 is not a TRV of 5 + (z^2 - z) e^z: its preimages are not named
+    f = exp_poly_family(5, Poly([0, -1, 1]), 1, 0)
+    assert _plan_preimages(decide_range(f, MatrixQi.diagonal([5]))) == [
+        ("5", "simple preimage (transcendental)")
+    ]
+
+
 def test_verdict_invariant_under_similarity(rng):
     f = poly_f([0, 0, 1])
     for a0 in [J(2, 0), MatrixQi.block_diag([J(2, 0), J(1, 0)]), J(2, 4), MatrixQi.diagonal([1, 2, 3])]:
@@ -315,6 +347,50 @@ def test_witness_randomized_engineered_instances(rng):
         assert verdict.solvable
         x = build_witness(f, a, verdict)
         assert apply_poly(f.poly, x) == a
+
+
+def full_decomposition_witness(f, a):
+    """build_witness the way it was before f(Y) was decomposed block by block:
+    A's blocks grouped by eigenvalue, Q(i) roots of f - lam found afresh, and
+    S from a full jordan_decomposition of apply_poly(f, Y)."""
+    dec_a = jordan_decomposition(a)
+    partitions = {}
+    for lam, size in dec_a.ordering:
+        partitions.setdefault(lam, []).append(size)
+    blocks = []
+    for lam, sizes in partitions.items():
+        by_mult = {}
+        for r in gaussian_rational_roots(f.poly.shift(lam)):
+            by_mult.setdefault(r.multiplicity, []).append(r.root)
+        cover = coverable(sorted(sizes, reverse=True), [m for m in by_mult if m >= 2], 1 in by_mult)
+        blocks.extend(J(K, min(by_mult[m], key=lambda z: z.sort_key())) for K, m in cover)
+    y = MatrixQi.block_diag(blocks)
+    dec_f = jordan_decomposition(apply_poly(f.poly, y))
+    assert dec_f.j == dec_a.j
+    s = dec_f.t
+    return dec_a.t @ s.inverse() @ y @ s @ dec_a.t_inverse()
+
+
+def test_blockwise_witness_matches_full_decomposition():
+    rng = random.Random(8)
+    for k in range(30):
+        if k % 2:
+            # one preimage root, several blocks there: f(J_K) splits into chains
+            r = random_scalar(rng, 2, 1)
+            f = polynomial_function(
+                Poly.from_roots([r] * rng.choice([2, 3])) + Poly.constant(random_scalar(rng, 2, 1))
+            )
+            y = MatrixQi.block_diag([J(rng.randint(1, 4), r) for _ in range(rng.randint(1, 3))])
+        else:
+            f = polynomial_function(
+                Poly([random_scalar(rng, 2, 1) for _ in range(rng.randint(1, 4))] + [Qi(1)])
+            )
+            y = MatrixQi.block_diag(
+                [J(rng.randint(1, 3), random_scalar(rng, 2, 1)) for _ in range(rng.randint(1, 3))]
+            )
+        t = random_invertible(rng, y.n)
+        a = t @ apply_poly(f.poly, y) @ t.inverse()
+        assert build_witness(f, a) == full_decomposition_witness(f, a)
 
 
 # -- describe_range ------------------------------------------------------------
