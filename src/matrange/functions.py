@@ -31,7 +31,6 @@ from .polynomials import (
     gcd_monic,
     multiplicity_multiset,
     squarefree_decomposition,
-    squarefree_part,
     critical_value_polynomial,
 )
 from .scalars import GaussianRational, Qi, parse_scalar, render_scalar
@@ -154,23 +153,16 @@ def exp_poly_family(v, p: Poly, c, d) -> EntireFunction:
 def polynomial_trvs(p: Poly):
     """TRVs of a polynomial with Q(i) coefficients. Candidates are the Q(i)
     roots of the critical value polynomial; a candidate survives iff every
-    root of P - a is multiple, tested exactly by s^2 | (P - a) with s the
-    square-free part. The unique TRV of a Q(i) polynomial is itself fixed by
-    every automorphism of C over Q(i), so searching Q(i) roots loses nothing."""
+    root of P - a is multiple, read exactly off the multiplicity multiset of
+    P - a. The unique TRV of a Q(i) polynomial is itself fixed by every
+    automorphism of C over Q(i), so searching Q(i) roots loses nothing."""
     if p.degree < 2:
         return []
     found = []
     for cand in gaussian_rational_roots(critical_value_polynomial(p)):
-        shifted = p.shift(cand.root)
-        s = squarefree_part(shifted)
-        if (s * s).divides(shifted):
-            found.append(
-                TrvEntry(
-                    cand.root,
-                    tuple(multiplicity_multiset(shifted)),
-                    has_infinitely_many_preimages=False,
-                )
-            )
+        mults = multiplicity_multiset(p.shift(cand.root))
+        if min(mults) >= 2:
+            found.append(TrvEntry(cand.root, tuple(mults), has_infinitely_many_preimages=False))
     if len(found) > 1:
         raise InternalInvariantError(
             "a polynomial can have at most one totally ramified value; "
@@ -233,9 +225,11 @@ def preimage_roots(f: EntireFunction, value) -> PreimageInfo:
         return PreimageInfo(PreimageKind.EMPTY)
     else:
         p = f.poly  # the preimages of v are exactly the zeros of P
-    roots = tuple(gaussian_rational_roots(p))
+    decomposition = squarefree_decomposition(p)
+    roots = tuple(gaussian_rational_roots(p, decomposition))
     complete = sum(r.multiplicity for r in roots) == p.degree
-    return PreimageInfo(PreimageKind.FINITE, roots, complete, tuple(multiplicity_multiset(p)))
+    multiset = tuple(multiplicity_multiset(p, decomposition))
+    return PreimageInfo(PreimageKind.FINITE, roots, complete, multiset)
 
 
 def validate(f: EntireFunction) -> RamificationProfile:

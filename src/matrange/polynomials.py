@@ -2,20 +2,19 @@
 
 Everything here is pure and exact: Horner evaluation, formal derivatives,
 monic Euclidean gcd, Yun square-free decomposition, exact division, root
-finding in Q(i) via the rational-root theorem over Z[i], and the critical
-value polynomial D(a) = Res_z(P(z) - a, P'(z)) computed by
-evaluation-interpolation.
+finding in Q(i) by p-adic (Hensel) lifting at a split prime p = 1 (mod 4),
+and the critical value polynomial D(a) = Res_z(P(z) - a, P'(z)) computed by
+evaluation-interpolation. Only integer and Fraction arithmetic is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import lcm
+from itertools import count
+from math import isqrt, lcm
 
 from .errors import InternalInvariantError, ParseError, PreconditionError
-from .gaussints import UNITS, gaussian_divisors
 from .scalars import ONE, ZERO, GaussianRational, Qi, parse_scalar, render_scalar
 
 __all__ = [
@@ -234,15 +233,12 @@ def squarefree_decomposition(p: Poly):
     return out
 
 
-def squarefree_part(p: Poly) -> Poly:
-    return reduce(lambda a, b: a * b, (f for f, _ in squarefree_decomposition(p)), Poly.constant(1))
-
-
-def multiplicity_multiset(p: Poly):
+def multiplicity_multiset(p: Poly, decomposition=None):
     """Multiset (sorted list) of root multiplicities of p over C, one entry per
-    root; exact without root extraction via square-free factor degrees."""
+    root; exact without root extraction via square-free factor degrees. A
+    caller that already holds squarefree_decomposition(p) passes it in."""
     out = []
-    for factor, mult in squarefree_decomposition(p):
+    for factor, mult in decomposition or squarefree_decomposition(p):
         out.extend([mult] * factor.degree)
     return sorted(out)
 
@@ -257,72 +253,120 @@ def _clear_denominators(p: Poly):
     return [(int(c.re * m), int(c.im * m)) for c in p.coeffs]
 
 
-def _squarefree_roots(s: Poly):
-    """Roots in Q(i) of a square-free polynomial s (each is simple).
+def _horner(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
-    Exact factorization over the Gaussian rationals (sympy's QQ_I domain);
-    no integer factorization involved, so coefficient size only costs
-    polynomial time. The divisor-enumeration finder below stays as an
-    independent cross-check for small inputs."""
-    import sympy
 
-    z = sympy.Symbol("z")
-    coeffs = [
-        sympy.Rational(c.re.numerator, c.re.denominator)
-        + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
-        for c in reversed(s.coeffs)
-    ]
-    sp = sympy.Poly(coeffs, z, domain="QQ_I")
-    roots = []
-    for factor, _ in sp.factor_list()[1]:
-        if factor.degree() != 1:
+def _squarefree_mod(f, p):
+    """gcd(f, f') == 1 over F_p, for f monic with integer coefficients."""
+    a = [c % p for c in f]
+    b = [k * c % p for k, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            off = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[off + j] = (a[off + j] - q * c) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _hensel_lift(f, x, p, m):
+    """Newton-lift a simple root x of f mod p to the root mod m = p^(2^k)."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    q = p
+    while q < m:
+        q *= q
+        x = (x - _horner(f, x, q) * pow(_horner(df, x, q), -1, q)) % q
+    return x
+
+
+def _split_prime(g):
+    """Smallest prime p = 1 (mod 4) with its square root iota of -1 such that
+    g stays square-free mod p under both embeddings i -> iota, i -> -iota."""
+    for p in count(5, 4):
+        if any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
             continue
-        lead, const = factor.all_coeffs()
-        re_part, im_part = sympy.expand(-const / lead).as_real_imag()
-        roots.append(
-            GaussianRational(
-                Fraction(re_part.p, re_part.q), Fraction(im_part.p, im_part.q)
-            )
-        )
-    return roots
+        iota = next(t for t in (pow(n, (p - 1) // 4, p) for n in count(2)) if t * t % p == p - 1)
+        if all(_squarefree_mod([a + b * t for a, b in g], p) for t in (iota, -iota)):
+            return p, iota
 
 
-def _squarefree_roots_by_divisors(s: Poly):
-    """Rational-root-theorem finder over Z[i]: candidates p/q with p a
-    Gaussian-integer divisor of the constant term and q of the leading term,
-    up to units. Exact but needs to factor integer norms, so only viable for
-    small coefficients; kept as a test oracle for the sympy path."""
+def _squarefree_roots(s: Poly):
+    """Roots in Q(i) of a square-free polynomial s (each is simple), by
+    p-adic lifting at a split prime (Loos 1983); exact and deterministic.
+
+    With s cleared to Z[i] coefficients c_j and lc = c_d, the monic
+    g(z) = lc^(d-1) s(z/lc) has Z[i] coefficients, and r is a Q(i) root of s
+    iff alpha = lc r is a root of g in Z[i] (a root of a monic polynomial
+    over Z[i] lying in Q(i) is integral). By Cauchy's bound every root has
+    |alpha| <= B = 1 + max |g_j|. Take the smallest prime p = 1 (mod 4) with
+    a square root iota of -1 mod p at which g is square-free mod p under both
+    ring maps Z[i] -> F_p, i -> iota and i -> -iota; one exists because
+    disc(g) != 0 has finitely many prime factors. Lift iota to the root of
+    t^2 + 1 mod m = p^(2^k) > 2B. A root alpha = a + bi of g maps to the
+    roots x = a + b iota and y = a - b iota of the two images of g mod m;
+    mod p those reduce to simple roots, so they are the unique Newton lifts
+    of roots found by trying all p residues. Hence every pair (x, y) of
+    lifted roots is tried, a = (x + y)/2 and b = (x - y)/(2 iota) are
+    recovered exactly as symmetric residues since |a|, |b| <= B < m/2, and
+    no root can be missed; each surviving candidate is confirmed by exact
+    evaluation of s."""
     roots = []
-    # peel a root at zero first so divisor enumeration sees a nonzero constant
     if s.coeff(0).is_zero():
         roots.append(ZERO)
-        s = s.exact_divide(Poly.monomial(1))
+        s = Poly(s.coeffs[1:])
     if s.degree < 1:
         return roots
     ints = _clear_denominators(s)
-    c0, cl = ints[0], ints[-1]
-    candidates = set()
-    for d in gaussian_divisors(c0):
-        for e in gaussian_divisors(cl):
-            for u in UNITS:
-                num = (u[0] * d[0] - u[1] * d[1], u[0] * d[1] + u[1] * d[0])
-                candidates.add(
-                    GaussianRational(
-                        Fraction(num[0] * e[0] + num[1] * e[1], e[0] ** 2 + e[1] ** 2),
-                        Fraction(num[1] * e[0] - num[0] * e[1], e[0] ** 2 + e[1] ** 2),
-                    )
-                )
-    roots.extend(z for z in candidates if s(z).is_zero())
+    lc = ints[-1]
+    # g_j = c_j lc^(d-1-j) as (re, im) pairs, built from the top down
+    g, pw = [(1, 0)], (1, 0)
+    for a, b in reversed(ints[:-1]):
+        g.append((a * pw[0] - b * pw[1], a * pw[1] + b * pw[0]))
+        pw = (pw[0] * lc[0] - pw[1] * lc[1], pw[0] * lc[1] + pw[1] * lc[0])
+    g.reverse()
+    bound = 2 + max(isqrt(a * a + b * b) for a, b in g[:-1])
+    p, iota = _split_prime(g)
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    iota = _hensel_lift([1, 0, 1], iota, p, m)
+    lifted = []
+    for t in (iota, -iota):
+        image = [(a + b * t) % m for a, b in g]
+        lifted.append(
+            [_hensel_lift(image, x, p, m) for x in range(p) if _horner(image, x, p) == 0]
+        )
+    half, inv2, inv2i = m // 2, pow(2, -1, m), pow(2 * iota, -1, m)
+    lc = GaussianRational(Fraction(lc[0]), Fraction(lc[1]))
+    for x in lifted[0]:
+        for y in lifted[1]:
+            a, b = (x + y) * inv2 % m, (x - y) * inv2i % m
+            a, b = a - m if a > half else a, b - m if b > half else b
+            if a * a + b * b <= bound * bound:
+                r = GaussianRational(Fraction(a), Fraction(b)) / lc
+                if s(r).is_zero():
+                    roots.append(r)
     return roots
 
 
-def gaussian_rational_roots(p: Poly):
+def gaussian_rational_roots(p: Poly, decomposition=None):
     """All roots of p lying in Q(i), with exact multiplicities, sorted by the
-    canonical scalar ordering. Roots outside Q(i) are not reported."""
+    canonical scalar ordering. Roots outside Q(i) are not reported. A caller
+    that already holds squarefree_decomposition(p) passes it in."""
     if p.is_zero() or p.is_constant():
         raise PreconditionError("root finding needs degree >= 1")
     found = []
-    for factor, mult in squarefree_decomposition(p):
+    for factor, mult in decomposition or squarefree_decomposition(p):
         for r in _squarefree_roots(factor):
             found.append(RootWithMultiplicity(r, mult))
     found.sort(key=lambda rm: rm.root.sort_key())

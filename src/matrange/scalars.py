@@ -107,21 +107,25 @@ def render_scalar(x: GaussianRational) -> str:
     return f"{_render_fraction(x.re)}{sign}{_render_fraction(abs(x.im))}i"
 
 
-_FRACTION_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = _re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _parse_fraction(token: str) -> Fraction:
-    if not _FRACTION_RE.match(token):
+    if not _FRACTION_RE.fullmatch(token):
         raise ParseError(f"malformed rational {token!r}")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as e:  # more digits than int() converts
+        raise ParseError(f"rational {token[:20]!r}... too long: {e}") from e
+    if den == 0:
+        raise ParseError(f"zero denominator in {token!r}")
+    return Fraction(num, den)
 
 
 def parse_scalar(text: str) -> GaussianRational:
+    if not isinstance(text, str):
+        raise ParseError(f"scalar must be a string, got {type(text).__name__}")
     s = text.strip()
     if not s:
         raise ParseError("empty scalar")

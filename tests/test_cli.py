@@ -73,6 +73,19 @@ def test_precondition_error_exit_code():
     assert json.loads(err)["error"] == "precondition"
 
 
+@pytest.mark.parametrize(
+    "function, matrix",
+    [
+        (SQUARE, "[[1]]"),
+        ('{"type":"polynomial","coeffs":[0,0,1]}', NILPOTENT_2),
+        (SQUARE, '[["\u0663"]]'),
+    ],
+)
+def test_non_string_and_non_ascii_scalars_are_parse_errors(capsys, function, matrix):
+    assert main(["decide", "--function", function, "--matrix", matrix]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+
 def test_unknown_function_type_rejected():
     code, _, err = run_cli("analyze", "--function", '{"type":"cosh","coeffs":[]}')
     assert code == 1
@@ -87,6 +100,30 @@ def test_stdin_matrix():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solvable"] is False
+
+
+COLD_PATH = """
+import sys
+from matrange.cli import main
+from matrange.functions import polynomial_function
+from matrange.matrices import MatrixQi
+from matrange.polynomials import Poly
+from matrange.ranges import build_witness, decide_range, describe_range
+
+f = polynomial_function(Poly([0, 0, 1]))
+a = MatrixQi.block_diag([MatrixQi.jordan_block(2, 4), MatrixQi.diagonal([-1])])
+verdict = decide_range(f, a)
+assert verdict.solvable and build_witness(f, a, verdict) is not None
+describe_range(f, 3)
+main(["classify", "--matrix", '{"n":2,"rows":[["0","1"],["0","0"]]}', "--value", "0"])
+print("sympy" in sys.modules)
+"""
+
+
+def test_cold_path_never_imports_sympy():
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # -- in-process command coverage -----------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -16,8 +17,11 @@ from matrange.polynomials import (
     multiplicity_multiset,
     resultant,
     squarefree_decomposition,
+    _split_prime,
+    _squarefree_roots,
 )
 from matrange.scalars import GaussianRational, Qi
+from root_oracles import roots_by_divisors, roots_by_sympy
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 scalars = st.builds(GaussianRational, small_rationals, small_rationals)
@@ -166,18 +170,54 @@ def test_roots_with_fractional_and_imaginary_parts():
     assert found == {(Qi("1/2"), 1), (Qi(1, 1), 1)}
 
 
-def test_divisor_enumeration_root_finder_agrees_with_factorization(rng):
-    from matrange.polynomials import _squarefree_roots, _squarefree_roots_by_divisors
+def sorted_roots(roots):
+    return sorted(r.sort_key() for r in roots)
 
+
+def test_divisor_enumeration_root_finder_agrees_with_factorization(rng):
     for _ in range(20):
         roots = {Qi(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))}
         p = Poly.from_roots(roots) * Poly([1, 0, 1] if rng.random() < 0.5 else [1])
         p = gcd_monic(p, p)  # monic normalization
         if not gcd_monic(p, p.derivative()).is_constant():
             continue  # keep it square-free (z^2+1 may collide with chosen roots)
-        assert sorted(r.sort_key() for r in _squarefree_roots(p)) == sorted(
-            r.sort_key() for r in _squarefree_roots_by_divisors(p)
+        assert sorted_roots(_squarefree_roots(p)) == sorted_roots(roots_by_divisors(p))
+
+
+def test_split_prime_skips_primes_where_an_image_is_not_squarefree():
+    # (z - 1)(z - 66): the roots meet mod 5 and mod 13 under both embeddings
+    assert _split_prime([(66, 0), (-67, 0), (1, 0)]) == (17, 13)
+    # (z - 2)(z - i): they meet mod 5 only under i -> 2, not under i -> -2
+    assert _split_prime([(0, 2), (-2, -1), (1, 0)]) == (13, 8)
+
+
+def test_lifting_root_finder_matches_sympy_oracle():
+    rng = random.Random(5)
+
+    def gaussian(height, denom):
+        return GaussianRational(
+            Fraction(rng.randint(-height, height), rng.randint(1, denom)),
+            Fraction(rng.randint(-height, height), rng.randint(1, denom)),
         )
+
+    cases = [
+        Poly.monomial(1),
+        Poly([0, -4, 0, 1]),  # root 0 among real integers
+        Poly([1, 0, 1]),  # +-i
+        Poly([2, 0, 1]),  # irreducible, no Q(i) root
+        Poly([-2, 0, 0, 1]) * Poly([Qi(0, -1), Qi(1)]),  # irreducible cubic times z - i
+        Poly.from_roots([1, 66]),  # prime search skips 5 and 13
+        Poly.from_roots([2, Qi(0, 1)]),
+        Poly.from_roots([Qi("1/2"), Qi("-3/7"), 5], leading=Qi(3, 2)),
+    ]
+    while len(cases) < 40:
+        p = Poly.from_roots([gaussian(9, 4) for _ in range(rng.randint(1, 6))])
+        p = p * Poly(rng.choice([[1], [0, 1], [1, 0, 1], [2, 0, 1], [-2, 0, 0, 1]]))
+        p = p.scale(gaussian(6, 3))
+        if not p.is_zero() and gcd_monic(p, p.derivative()).is_constant():
+            cases.append(p)
+    for p in cases:
+        assert sorted_roots(_squarefree_roots(p)) == sorted_roots(roots_by_sympy(p)), p
 
 
 # -- resultants and critical values --------------------------------------------

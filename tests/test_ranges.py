@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from matrange import functions, polynomials
 from matrange.errors import PreconditionError, WitnessUnavailable
 from matrange.functions import (
     TheoremCase,
@@ -347,6 +348,22 @@ def test_witness_randomized_engineered_instances(rng):
         assert verdict.solvable
         x = build_witness(f, a, verdict)
         assert apply_poly(f.poly, x) == a
+
+
+def test_one_squarefree_decomposition_per_polynomial(monkeypatch):
+    calls = []
+    original = polynomials.squarefree_decomposition
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for module in (polynomials, functions):
+        monkeypatch.setattr(module, "squarefree_decomposition", counted)
+    a = MatrixQi.block_diag([J(2, 0), J(1, 0), MatrixQi.diagonal([4, 9, 1])])
+    assert decide_range(poly_f([0, 0, 1]), a).solvable
+    # D(a) and z^2 for the TRV; char(A); z^2 - lam at each of 4 eigenvalues
+    assert len(calls) == 7
 
 
 def full_decomposition_witness(f, a):

@@ -68,7 +68,23 @@ def test_integer_shorthand():
     assert parse_scalar("1/2-3i") == Qi("1/2", -3)
 
 
-@pytest.mark.parametrize("bad", ["", "2/0", "1+/2i", "x", "1.5", "1 + 2"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        *("", "2/0", "1+/2i", "x", "1.5", "1 + 2"),
+        *("\u0663", "1/\u0663+2i", "1\n+2i", pytest.param("1" * 5000, id="5000_digits")),
+        *(3, None, ["1"]),  # JSON values that are not strings
+    ],
+)
 def test_malformed_scalars_rejected(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789+-/i \u0663\uff11")))
+def test_parse_scalar_returns_a_value_or_raises_parse_error(text):
+    try:
+        value = parse_scalar(text)
+    except ParseError:
+        return
+    assert isinstance(value, GaussianRational)
