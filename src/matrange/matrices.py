@@ -1,9 +1,15 @@
 """Exact dense matrix algebra over Q(i).
 
-Characteristic polynomials (Faddeev-LeVerrier), ranks and kernels by
-Gaussian elimination over the field, Segre (Jordan-structure) partitions
-from rank sequences, full Jordan decomposition with transform for matrices
-whose spectrum lies in Q(i), and the E_a / S_a membership tests.
+Ranks, kernels, inverses and Jordan chains all come from one fraction-free
+elimination routine over the Gaussian integers Z[i] (Bareiss 1968): a matrix
+is scaled once by the lcm of its entries' denominators, entries become
+(re, im) integer pairs, and each division by the previous pivot is an exact
+Z[i] division. Segre (Jordan-structure) partitions come from the ranks of the
+powers of N = A - value I, each taken as rank(N B) with B a column basis of
+range(N^(k-1)), so no dense power is formed. The characteristic polynomial is
+a Hessenberg reduction by similarity followed by the Hessenberg recurrence,
+O(n^3). On top of these: the full Jordan decomposition with transform for
+matrices whose spectrum lies in Q(i), and the E_a / S_a membership tests.
 
 No floating point anywhere: Jordan structure is discontinuous in the matrix
 entries, so every pivot decision is an exact zero test.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import InternalInvariantError, ParseError, PreconditionError
 from .polynomials import Poly, gaussian_rational_roots
@@ -29,6 +35,7 @@ __all__ = [
     "is_in_S",
     "jordan_chains",
     "jordan_decomposition",
+    "outside_qi_cause",
     "apply_poly",
     "f_of_jordan_block",
 ]
@@ -104,65 +111,44 @@ class MatrixQi:
 
     def __matmul__(self, other: "MatrixQi") -> "MatrixQi":
         self._same_size(other)
-        n = self.n
-        cols = list(zip(*other.rows))
-        return MatrixQi(
-            [
-                [sum((a * b for a, b in zip(row, col)), ZERO) for col in cols]
-                for row in self.rows
-            ]
-        )
+        x, dx = _scaled_rows(self)
+        y, dy = _scaled_rows(other)
+        den = (dx * dy, 0)
+        return MatrixQi([[_to_qi(v, den) for v in row] for row in _matmul(x, y)])
 
     def scale(self, c) -> "MatrixQi":
         c = Qi(c)
         return MatrixQi([[c * x for x in row] for row in self.rows])
 
-    def __pow__(self, k: int) -> "MatrixQi":
-        out = MatrixQi.identity(self.n)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def _same_size(self, other):
         if self.n != other.n:
             raise PreconditionError("matrix dimensions differ")
 
-    def trace(self) -> GaussianRational:
-        return sum((self.rows[i][i] for i in range(self.n)), ZERO)
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)
-
-    def apply(self, v):
-        """Matrix-vector product; v is a sequence of scalars."""
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.rows)
 
     # -- elimination-based queries --------------------------------------------
 
     def rank(self) -> int:
-        return len(_rref([list(r) for r in self.rows])[1])
+        return len(_bareiss(_scaled_rows(self)[0]))
 
     def kernel_basis(self):
-        """Basis of the right null space; each vector v satisfies A v = 0."""
-        reduced, pivots = _rref([list(r) for r in self.rows])
-        n = self.n
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [ZERO] * n
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                v[p] = -reduced[i][f]
-            basis.append(tuple(v))
-        return basis
+        """Basis of the right null space; each vector v satisfies A v = 0.
+        One vector per free column f of the reduced row echelon form R: 1 at
+        f, 0 at the other free columns, -R[i][f] at the i-th pivot column."""
+        vectors, d = _kernel(_scaled_rows(self)[0])
+        return [tuple(_to_qi(x, d) for x in v) for v in vectors]
 
     def inverse(self) -> "MatrixQi":
         n = self.n
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(self.rows)]
-        reduced, pivots = _rref(aug, limit=n)
-        if len(pivots) != n:
+        rows, den = _scaled_rows(self)
+        for i, row in enumerate(rows):
+            row.extend((1, 0) if j == i else (0, 0) for j in range(n))
+        if len(_bareiss(rows, ncols=n, reduce=True)) != n:
             raise PreconditionError("matrix is singular")
-        return MatrixQi([row[n:] for row in reduced])
+        # rows are [d I | d (den A)^-1] and A^-1 = den (den A)^-1
+        d = rows[0][0]
+        return MatrixQi([[_to_qi((den * re, den * im), d) for re, im in row[n:]] for row in rows])
 
     # -- JSON format ----------------------------------------------------------
 
@@ -182,71 +168,204 @@ class MatrixQi:
         return MatrixQi([[parse_scalar(x) for x in row] for row in rows])
 
 
-def _rref(rows, limit=None):
-    """In-place reduced row echelon form over Q(i). Returns (rows, pivot_cols).
-    Pivoting is deterministic: first nonzero entry in column order."""
-    n_rows = len(rows)
-    n_cols = limit if limit is not None else (len(rows[0]) if rows else 0)
+# -- the Z[i] core ----------------------------------------------------------------
+# A Gaussian integer is an (re, im) pair of ints; a Z[i] matrix is a list of
+# rows of such pairs.
+
+
+def _scaled_rows(a: MatrixQi, shift=ZERO):
+    """(rows, den): den (A - shift I) as Z[i] rows, with den the lcm of the
+    denominators of A's entries and of shift."""
+    den = lcm(
+        shift.re.denominator,
+        shift.im.denominator,
+        *(x.re.denominator for row in a.rows for x in row),
+        *(x.im.denominator for row in a.rows for x in row),
+    )
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (den // q.denominator)
+
+    rows = [[(scaled(x.re), scaled(x.im)) for x in row] for row in a.rows]
+    if not shift.is_zero():
+        sre, sim = scaled(shift.re), scaled(shift.im)
+        for i, row in enumerate(rows):
+            row[i] = (row[i][0] - sre, row[i][1] - sim)
+    return rows, den
+
+
+def _to_qi(x, d) -> GaussianRational:
+    """The Gaussian integer x divided by the nonzero Gaussian integer d."""
+    (xr, xi), (dr, di) = x, d
+    if di:
+        xr, xi, dr = xr * dr + xi * di, xi * dr - xr * di, dr * dr + di * di
+    return GaussianRational(Fraction(xr, dr), Fraction(xi, dr))
+
+
+def _exact_div(x, d):
+    """x / d in Z[i]; InternalInvariantError unless d divides x."""
+    (xr, xi), (dr, di) = x, d
+    if di:
+        xr, xi, dr = xr * dr + xi * di, xi * dr - xr * di, dr * dr + di * di
+    qr, rr = divmod(xr, dr)
+    qi, ri = divmod(xi, dr)
+    if rr or ri:
+        raise InternalInvariantError(f"{d} does not divide {x} in Z[i]")
+    return qr, qi
+
+
+def _dot(u, v):
+    re = im = 0
+    for (ar, ai), (br, bi) in zip(u, v):
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    return re, im
+
+
+def _apply(rows, v):
+    """Z[i] matrix times Z[i] vector."""
+    return [_dot(row, v) for row in rows]
+
+
+def _matmul(x, y):
+    cols = list(zip(*y))
+    return [[_dot(row, col) for col in cols] for row in x]
+
+
+def _bareiss(rows, ncols=None, reduce=False):
+    """Fraction-free elimination over Z[i] (Bareiss 1968), in place.
+
+    Over the first `ncols` columns, pivots are taken in column order, each
+    the first nonzero entry at or below the current row, and pivot row r
+    ends as row r. Every update p x - f y, with p the pivot and f the entry
+    being cleared, is divided exactly by the previous pivot, so each entry
+    stays a minor of the input. The pivot columns are the leftmost
+    independent columns. With `reduce`, rows above the pivot are cleared too
+    (Gauss-Jordan): then every pivot ends equal to the last one, d, and the
+    first rank rows are d times the reduced row echelon form.
+
+    Returns the pivot columns."""
+    ncols = len(rows[0]) if ncols is None else ncols
     pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
+    prev = (1, 0)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return rows, pivots
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        pr, pi = top[c]
+        for i in range(0 if reduce else r + 1, len(rows)):
+            if i == r:
+                continue
+            row = rows[i]
+            fr, fi = row[c]
+            start = 0 if i < r else c  # below the pivot row, columns < c are zero
+            row[start:] = [
+                _exact_div(
+                    (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr),
+                    prev,
+                )
+                for (xr, xi), (yr, yi) in zip(row[start:], top[start:])
+            ]
+        prev = (pr, pi)
+        pivots.append(c)
+    return pivots
 
 
-class _SpanTracker:
-    """Incremental row-space membership: add vectors, test independence."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = []  # echelonized, with recorded pivot columns
-        self.pivots = []
-
-    def add(self, v) -> bool:
-        """Reduce v against the span; add if independent. True if added."""
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((j for j in range(self.n) if not v[j].is_zero()), None)
-        if lead is None:
-            return False
-        inv = v[lead].inverse()
-        self.rows.append([x * inv for x in v])
-        self.pivots.append(lead)
-        return True
+def _kernel(rows):
+    """(vectors, d): a basis of the right null space of the Z[i] rows, as d
+    times the reduced-row-echelon basis (see MatrixQi.kernel_basis), with d
+    the last Gauss-Jordan pivot. The rows are left as they are."""
+    ncols = len(rows[0])
+    rows = [list(row) for row in rows]
+    pivots = _bareiss(rows, reduce=True)
+    d = rows[0][pivots[0]] if pivots else (1, 0)
+    vectors = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [(0, 0)] * ncols
+        v[f] = d
+        for row, p in zip(rows, pivots):
+            v[p] = (-row[f][0], -row[f][1])
+        vectors.append(v)
+    return vectors, d
 
 
 # -- characteristic polynomial -------------------------------------------------
+# Q(i) values as (re, im, den): a Z[i] numerator over a positive integer
+# denominator, in lowest terms. One gcd per operation, where GaussianRational
+# normalises two Fractions; end to end this is the faster char_poly.
+
+
+def _q(re, im, den):
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
+def _qmul(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return _q(a * c - b * e, a * e + b * c, d * f)
+
+
+def _qdiv(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return _q((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+
+
+def _qsubmul(x, y, z):
+    """x - y z."""
+    (a, b, d), (c, e, f), (g, h, k) = x, y, z
+    fk = f * k
+    return _q(a * fk - (c * g - e * h) * d, b * fk - (c * h + e * g) * d, d * fk)
 
 
 def char_poly(a: MatrixQi) -> Poly:
-    """det(zI - A), monic of degree n, by the Faddeev-LeVerrier recurrence."""
+    """det(zI - A), monic of degree n, in O(n^3) operations.
+
+    Elementary similarities bring A to upper Hessenberg form H: for each
+    column k, a row swap with the matching column swap puts a nonzero
+    subdiagonal pivot p at (k+1, k), then row_i -= m row_(k+1) and
+    col_(k+1) += m col_i with m = h_ik / p clear the column below it. Then
+    det(zI - H) = p_n from the recurrence p_0 = 1,
+    p_k = (z - h_kk) p_(k-1) - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_(i-1)."""
     n = a.n
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = MatrixQi.identity(n)
-    for k in range(1, n + 1):
-        m = a @ m
-        c = -(m.trace() / Qi(k))
-        coeffs[n - k] = c
-        if k < n:
-            m = m + MatrixQi.identity(n).scale(c)
-    return Poly(coeffs)
+    rows, den = _scaled_rows(a)
+    h = [[_q(re, im, den) for re, im in row] for row in rows]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k][:2] != (0, 0)), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            h[piv], h[k + 1] = h[k + 1], h[piv]
+            for row in h:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        p, top = h[k + 1][k], h[k + 1]
+        for i in range(k + 2, n):
+            if h[i][k][:2] == (0, 0):
+                continue
+            m = _qdiv(h[i][k], p)
+            h[i][k:] = [_qsubmul(x, m, y) for x, y in zip(h[i][k:], top[k:])]
+            neg = (-m[0], -m[1], m[2])
+            for row in h:
+                if row[i][:2] != (0, 0):
+                    row[k + 1] = _qsubmul(row[k + 1], neg, row[i])
+    polys = [[(1, 0, 1)]]
+    for k in range(n):
+        new = [(0, 0, 1)] + polys[k]  # z p_k
+        for j, c in enumerate(polys[k]):
+            new[j] = _qsubmul(new[j], h[k][k], c)
+        t = (1, 0, 1)
+        for i in range(k - 1, -1, -1):
+            t = _qmul(t, h[i + 1][i])
+            c = _qmul(h[i][k], t)
+            if c[:2] != (0, 0):
+                for j, x in enumerate(polys[i]):
+                    new[j] = _qsubmul(new[j], c, x)
+        polys.append(new)
+    return Poly([GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im, d in polys[n]])
 
 
 # -- Jordan structure ----------------------------------------------------------
@@ -267,19 +386,30 @@ class SegrePartition:
         return any(p >= 2 for p in self.parts)
 
 
+def _independent(vectors, n):
+    """Indices of the vectors (length n, Z[i]) that are independent of all
+    vectors before them: the pivot columns of the matrix they are columns of."""
+    return _bareiss([[v[i] for v in vectors] for i in range(n)]) if vectors else []
+
+
 def segre_at(a: MatrixQi, value) -> SegrePartition:
-    """Jordan block sizes of A at value, from ranks of powers of (A - value I).
-    Works regardless of where A's other eigenvalues live."""
+    """Jordan block sizes of A at value, from the ranks of the powers of
+    N = A - value I. Works regardless of where A's other eigenvalues live.
+
+    The columns N b for b in a basis of range(N^(k-1)) span range(N^k); the
+    independent ones give rank(N^k) and the basis for the next step. The
+    first basis is e_1, ..., e_n, so the vectors are columns of N^k."""
     value = Qi(value)
     n = a.n
-    shifted = a - MatrixQi.identity(n).scale(value)
+    shifted, _ = _scaled_rows(a, value)
     ranks = [n]
-    power = MatrixQi.identity(n)
+    spanning = list(zip(*shifted))
     for _ in range(n):
-        power = power @ shifted
-        ranks.append(power.rank())
+        basis = [spanning[j] for j in _independent(spanning, n)]
+        ranks.append(len(basis))
         if ranks[-1] == ranks[-2]:
             break
+        spanning = [_apply(shifted, b) for b in basis]
     while len(ranks) < n + 2:
         ranks.append(ranks[-1])
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]  # blocks of size >= k
@@ -292,7 +422,7 @@ def segre_at(a: MatrixQi, value) -> SegrePartition:
 
 def is_in_E(a: MatrixQi, value) -> bool:
     """Does A have the eigenvalue `value`?"""
-    return (a - MatrixQi.identity(a.n).scale(Qi(value))).rank() < a.n
+    return len(_bareiss(_scaled_rows(a, Qi(value))[0])) < a.n
 
 
 def is_in_S(a: MatrixQi, value) -> bool:
@@ -313,31 +443,49 @@ class JordanDecomposition:
 def jordan_chains(a: MatrixQi, lam) -> list:
     """Jordan chains of A at lam, longest first, ties in discovery order.
     Each chain is its columns N^(k-1) v, ..., N v, v for N = A - lam I and a
-    top vector v of length k: the columns of T for one Jordan block at lam."""
+    top vector v of length k: the columns of T for one Jordan block at lam.
+
+    For k from the largest block down, the tops of length k are the vectors
+    of the kernel_basis of N^k that are independent of ker N^(k-1), of the
+    images N^(l-k) v of the longer tops and of the tops taken before them."""
+    lam = Qi(lam)
     n = a.n
-    shifted = a - MatrixQi.identity(n).scale(lam)
     parts = segre_at(a, lam).parts
-    largest = max(parts, default=0)
-    powers = [MatrixQi.identity(n)]
-    for _ in range(largest):
-        powers.append(powers[-1] @ shifted)
-    kernels = [powers[k].kernel_basis() for k in range(largest + 1)]
-    chains = []  # (top vector, length), longest first
-    for k in range(largest, 0, -1):
-        tracker = _SpanTracker(n)
-        for v in kernels[k - 1]:
-            tracker.add(v)
-        for top, length in chains:
-            tracker.add(powers[length - k].apply(top))
-        for v in kernels[k]:
-            if tracker.add(v):
-                chains.append((v, k))
-    sizes = [length for _, length in chains]
+    shifted, den = _scaled_rows(a, lam)  # den N
+    powers = [[[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]]
+    for _ in range(max(parts, default=0)):
+        powers.append(_matmul(powers[-1], shifted))
+    kernels = [_kernel(p) for p in powers]
+    chains = []  # (top vector times d, d, length), longest first
+    for k in range(len(powers) - 1, 0, -1):
+        known = kernels[k - 1][0] + [_apply(powers[length - k], top) for top, _, length in chains]
+        vectors, d = kernels[k]
+        for j in _independent(known + vectors, n):
+            if j >= len(known):
+                chains.append((vectors[j - len(known)], d, k))
+    sizes = [length for _, _, length in chains]
     if sizes != list(parts):
         raise InternalInvariantError(
             f"chain construction produced sizes {sizes}, expected {parts}"
         )
-    return [[powers[j].apply(top) for j in reversed(range(length))] for top, length in chains]
+    out = []
+    for top, (dr, di), length in chains:  # N^j v = (den N)^j (d v) / (den^j d)
+        out.append(
+            [
+                tuple(_to_qi(x, (den**j * dr, den**j * di)) for x in _apply(powers[j], top))
+                for j in reversed(range(length))
+            ]
+        )
+    return out
+
+
+def outside_qi_cause(degree: int) -> str:
+    """Why a spectrum leaves Q(i): the characteristic polynomial keeps an
+    unfactored part of this degree."""
+    return (
+        "spectrum not contained in Q(i): "
+        f"unfactored characteristic polynomial part of degree {degree}"
+    )
 
 
 def jordan_decomposition(a: MatrixQi) -> JordanDecomposition:
@@ -351,10 +499,7 @@ def jordan_decomposition(a: MatrixQi) -> JordanDecomposition:
     roots = gaussian_rational_roots(char_poly(a))
     outside = n - sum(r.multiplicity for r in roots)
     if outside:
-        raise PreconditionError(
-            "spectrum not contained in Q(i): "
-            f"unfactored characteristic polynomial part of degree {outside}"
-        )
+        raise PreconditionError(outside_qi_cause(outside))
     columns = []
     ordering = []
     for r in roots:  # already in canonical scalar order

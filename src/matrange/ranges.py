@@ -35,7 +35,7 @@ from .matrices import (
     char_poly,
     f_of_jordan_block,
     jordan_chains,
-    jordan_decomposition,
+    outside_qi_cause,
     segre_at,
 )
 from .polynomials import Poly, gaussian_rational_roots
@@ -309,7 +309,8 @@ def build_witness(f: EntireFunction, a: MatrixQi, verdict: RangeVerdict | None =
     spectrum and Q(i) preimage roots of the multiplicities the cover needs.
 
     X = T S^-1 Y S T^-1 with A = T J T^-1, f(Y) = S J S^-1 and Y a direct sum
-    of blocks J_K(z0); S comes block by block from the chains of f(J_K(z0)).
+    of blocks J_K(z0); S comes block by block from the chains of f(J_K(z0)),
+    T from A's chains at each eigenvalue of verdict.analysis.
 
     Raises WitnessUnavailable when the verdict stands but no exact witness
     exists over Q(i); InternalInvariantError only on a bug."""
@@ -319,15 +320,16 @@ def build_witness(f: EntireFunction, a: MatrixQi, verdict: RangeVerdict | None =
         verdict = decide_range(f, a)
     if not verdict.solvable:
         raise PreconditionError("no witness: the equation is unsolvable")
-    try:
-        dec_a = jordan_decomposition(a)
-    except PreconditionError as e:
+    outside = a.n - sum(sum(parts) for _, (parts, _) in verdict.analysis)
+    if outside < 0:
+        raise InternalInvariantError("the verdict's Jordan blocks do not fit A")
+    if outside:
         raise WitnessUnavailable(
-            "decision stands, but A's spectrum leaves Q(i)", {"cause": str(e)}
-        ) from e
+            "decision stands, but A's spectrum leaves Q(i)", {"cause": outside_qi_cause(outside)}
+        )
     blocks = []
-    columns = []
-    ordering = []
+    s_columns = []
+    t_columns = []
     offset = 0
     for lam, (parts, preimages) in verdict.analysis:
         cover = coverable(
@@ -350,14 +352,16 @@ def build_witness(f: EntireFunction, a: MatrixQi, verdict: RangeVerdict | None =
                 chains.append([pad_above + v + pad_below for v in chain])
             offset += K
         chains.sort(key=len, reverse=True)  # stable: ties stay in block order
-        for chain in chains:
-            columns.extend(chain)
-            ordering.append((lam, len(chain)))
-    if tuple(ordering) != dec_a.ordering:
-        raise InternalInvariantError("f(Y) and A disagree on canonical Jordan form")
+        a_chains = jordan_chains(a, lam)
+        if [len(c) for c in chains] != [len(c) for c in a_chains]:
+            raise InternalInvariantError("f(Y) and A disagree on canonical Jordan form")
+        for s_chain, t_chain in zip(chains, a_chains):
+            s_columns.extend(s_chain)
+            t_columns.extend(t_chain)
     y = MatrixQi.block_diag(blocks)
-    s = MatrixQi(list(zip(*columns)))  # vectors become columns
-    x = dec_a.t @ s.inverse() @ y @ s @ dec_a.t_inverse()
+    s = MatrixQi(list(zip(*s_columns)))  # vectors become columns
+    t = MatrixQi(list(zip(*t_columns)))
+    x = t @ s.inverse() @ y @ s @ t.inverse()
     if apply_poly(f.poly, x) != a:
         raise InternalInvariantError("witness failed exact verification f(X) = A")
     return x

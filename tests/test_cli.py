@@ -44,6 +44,34 @@ def test_classify_worked_example_bytes():
     assert out == '{"in_E": true, "in_S": true, "segre_partition": [2]}\n'
 
 
+def test_witness_worked_example_bytes():
+    # A = T (J_2(4) + [-1]) T^-1: a nontrivial block away from the TRV, both
+    # preimages in Q(i)
+    matrix = '{"n":3,"rows":[["9/2","1/2","-1/2"],["5/2","3/2","-5/2"],["3","-2","1"]]}'
+    code, out, _ = run_cli("witness", "--function", SQUARE, "--matrix", matrix)
+    assert code == 0
+    assert out == (
+        '{"solvable": true, "case": "III", "cover_plan": ['
+        '{"eigenvalue": "-1", "preimage": "0-1i", "K": 1, "m": 1, "parts": [1]}, '
+        '{"eigenvalue": "4", "preimage": "-2", "K": 2, "m": 1, "parts": [2]}], '
+        '"witness": {"n": 3, "rows": [["-17/8", "-1/8", "1/8"], '
+        '["-1+1/2i", "-1-1/2i", "1-1/2i"], ["-9/8+1/2i", "7/8-1/2i", "-7/8-1/2i"]]}, '
+        '"witness_status": "exact"}\n'
+    )
+
+
+def test_witness_unavailable_cause_bytes(capsys):
+    matrix = '{"n":2,"rows":[["0","1"],["2","0"]]}'
+    assert main(["witness", "--function", SQUARE, "--matrix", matrix]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["witness_status"] == "unavailable_over_Qi"
+    assert out["witness_unavailable"] == {
+        "message": "decision stands, but A's spectrum leaves Q(i)",
+        "cause": "spectrum not contained in Q(i): "
+        "unfactored characteristic polynomial part of degree 2",
+    }
+
+
 def test_evaluate_worked_example_bytes():
     code, out, _ = run_cli("evaluate", "--function", SQUARE, "--matrix", NILPOTENT_2)
     assert code == 0

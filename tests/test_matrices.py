@@ -1,13 +1,19 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from matrange.errors import PreconditionError
+import linalg_oracles as oracles
+from matrange.errors import InternalInvariantError, PreconditionError
 from matrange.matrices import (
     MatrixQi,
+    _exact_div,
     apply_poly,
     char_poly,
     f_of_jordan_block,
     is_in_E,
     is_in_S,
+    jordan_chains,
     jordan_decomposition,
     segre_at,
 )
@@ -56,7 +62,7 @@ def test_kernel_vectors_annihilate(rng):
         basis = a.kernel_basis()
         assert len(basis) == n - a.rank()
         for v in basis:
-            assert all(x.is_zero() for x in a.apply(v))
+            assert all(x.is_zero() for x in oracles.apply(a, v))
 
 
 def test_inverse_round_trip(rng):
@@ -163,3 +169,88 @@ def test_matrix_json_round_trip(rng):
     for _ in range(10):
         a = random_matrix(rng, rng.randint(1, 4))
         assert MatrixQi.parse(a.render()) == a
+
+
+# -- differential checks against the field-arithmetic oracles ------------------
+
+# z^2 - 2 and z^3 - 2 have no root in Q(i)
+OUTSIDE_QI = ([-2, 0, 1], [-2, 0, 0, 1])
+
+
+def companion(coeffs):
+    d = len(coeffs) - 1
+    return MatrixQi(
+        [[Qi(1) if j == i - 1 else Qi(0) for j in range(d - 1)] + [-Qi(coeffs[i])] for i in range(d)]
+    )
+
+
+def planted(rng, n):
+    """T J T^-1 under a diagonal scaling with large, mixed denominators. J
+    has Jordan blocks at up to three Q(i) eigenvalues and, when it fits, a
+    companion block with eigenvalues outside Q(i). Returns (A, eigenvalues)."""
+    blocks = []
+    if n >= 4 and rng.random() < 0.5:
+        blocks.append(companion(rng.choice(OUTSIDE_QI)))
+    eigenvalues = []
+    while sum(b.n for b in blocks) < n:
+        if not eigenvalues or (len(eigenvalues) < 3 and rng.random() < 0.4):
+            eigenvalues.append(random_scalar(rng, 4, 3))
+        size = rng.randint(1, min(4, n - sum(b.n for b in blocks)))
+        blocks.append(J(size, rng.choice(eigenvalues)))
+    rng.shuffle(blocks)
+    t = MatrixQi([[random_scalar(rng, 4, 5) for _ in range(n)] for _ in range(n)])
+    while oracles.inverse(t) is None:
+        t = MatrixQi([[random_scalar(rng, 4, 5) for _ in range(n)] for _ in range(n)])
+    a = oracles.field_matmul(oracles.field_matmul(t, MatrixQi.block_diag(blocks)), oracles.inverse(t))
+    scale = [Qi(Fraction(rng.randint(1, 999), rng.randint(1, 999))) for _ in range(n)]
+    a = MatrixQi([[scale[i] * x / scale[j] for j, x in enumerate(row)] for i, row in enumerate(a.rows)])
+    return a, sorted(set(eigenvalues), key=lambda z: z.sort_key())
+
+
+def assert_layers_match_oracles(a, values, chains=True):
+    assert char_poly(a) == oracles.char_poly(a)
+    assert a.rank() == oracles.rank(a)
+    expected = oracles.inverse(a)
+    if expected is None:
+        with pytest.raises(PreconditionError, match="singular"):
+            a.inverse()
+    else:
+        assert a.inverse() == expected
+    for value in values:
+        assert segre_at(a, value) == oracles.segre_at(a, value)
+        shifted = a - MatrixQi.identity(a.n).scale(value)
+        assert shifted.kernel_basis() == oracles.kernel_basis(shifted)
+        if chains:
+            assert jordan_chains(a, value) == oracles.jordan_chains(a, value)
+
+
+def test_layers_match_field_oracles_n1_to_12():
+    rng = random.Random(6)
+    for n in range(1, 13):
+        a, eigenvalues = planted(rng, n)
+        not_eigenvalue = Qi(7, 5)  # |random_scalar(rng, 4, 3)| < 7
+        assert segre_at(a, not_eigenvalue).is_empty()
+        assert_layers_match_oracles(a, eigenvalues + [not_eigenvalue], chains=n <= 8)
+
+
+def test_layers_match_field_oracles_nilpotent_and_zero():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        assert_layers_match_oracles(MatrixQi.zero(n), [Qi(0), Qi(1)])
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        a = MatrixQi.block_diag([J(k, 0) for k in sizes])
+        t = random_invertible(rng, n)
+        conj = oracles.field_matmul(oracles.field_matmul(t, a), oracles.inverse(t))
+        assert_layers_match_oracles(conj, [Qi(0), Qi(0, 1)])
+        assert segre_at(conj, 0).parts == tuple(sorted(sizes, reverse=True))
+
+
+def test_exact_division_over_gaussian_integers():
+    assert _exact_div((5, 0), (2, 1)) == (2, -1)
+    assert _exact_div((-6, 4), (2, 0)) == (-3, 2)
+    with pytest.raises(InternalInvariantError, match="does not divide"):
+        _exact_div((3, 1), (2, 0))
+    with pytest.raises(InternalInvariantError, match="does not divide"):
+        _exact_div((1, 0), (1, 1))

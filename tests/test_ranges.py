@@ -4,7 +4,7 @@ import random
 import pytest
 
 from matrange import functions, polynomials
-from matrange.errors import PreconditionError, WitnessUnavailable
+from matrange.errors import InternalInvariantError, PreconditionError, WitnessUnavailable
 from matrange.functions import (
     TheoremCase,
     exp_poly_family,
@@ -320,6 +320,14 @@ def test_witness_unavailable_for_irrational_spectrum():
     assert decide_range(f, a).solvable
     with pytest.raises(WitnessUnavailable):
         build_witness(f, a)
+
+
+def test_witness_rejects_a_verdict_for_another_matrix():
+    f = poly_f([0, 0, 1])
+    verdict = decide_range(f, MatrixQi.diagonal([1, 4, 9]))
+    assert verdict.solvable
+    with pytest.raises(InternalInvariantError):
+        build_witness(f, MatrixQi.diagonal([1, 4]), verdict)
 
 
 def test_witness_refused_for_unsolvable():
