@@ -6,10 +6,11 @@ is scaled once by the lcm of its entries' denominators, entries become
 (re, im) integer pairs, and each division by the previous pivot is an exact
 Z[i] division. Segre (Jordan-structure) partitions come from the ranks of the
 powers of N = A - value I, each taken as rank(N B) with B a column basis of
-range(N^(k-1)), so no dense power is formed. The characteristic polynomial is
-a Hessenberg reduction by similarity followed by the Hessenberg recurrence,
-O(n^3). On top of these: the full Jordan decomposition with transform for
-matrices whose spectrum lies in Q(i), and the E_a / S_a membership tests.
+range(N^(k-1)), so no dense power is formed. The characteristic polynomial
+comes from Berkowitz's division-free algorithm on the same Z[i] form, and
+polynomials of a matrix from Horner's rule on it. On top of these: the full
+Jordan decomposition with transform for matrices whose spectrum lies in Q(i),
+and the E_a / S_a membership tests.
 
 No floating point anywhere: Jordan structure is discontinuous in the matrix
 entries, so every pivot decision is an exact zero test.
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import InternalInvariantError, ParseError, PreconditionError
-from .polynomials import Poly, gaussian_rational_roots
+from .polynomials import Poly, _clear_denominators, gaussian_rational_roots
 from .scalars import ONE, ZERO, GaussianRational, Qi, parse_scalar, render_scalar
 
 __all__ = [
@@ -295,77 +296,31 @@ def _kernel(rows):
 
 
 # -- characteristic polynomial -------------------------------------------------
-# Q(i) values as (re, im, den): a Z[i] numerator over a positive integer
-# denominator, in lowest terms. One gcd per operation, where GaussianRational
-# normalises two Fractions; end to end this is the faster char_poly.
-
-
-def _q(re, im, den):
-    g = gcd(re, im, den)
-    return re // g, im // g, den // g
-
-
-def _qmul(x, y):
-    (a, b, d), (c, e, f) = x, y
-    return _q(a * c - b * e, a * e + b * c, d * f)
-
-
-def _qdiv(x, y):
-    (a, b, d), (c, e, f) = x, y
-    return _q((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
-
-
-def _qsubmul(x, y, z):
-    """x - y z."""
-    (a, b, d), (c, e, f), (g, h, k) = x, y, z
-    fk = f * k
-    return _q(a * fk - (c * g - e * h) * d, b * fk - (c * h + e * g) * d, d * fk)
 
 
 def char_poly(a: MatrixQi) -> Poly:
-    """det(zI - A), monic of degree n, in O(n^3) operations.
+    """det(zI - A), monic of degree n, by Berkowitz's division-free algorithm
+    (Berkowitz 1984) on M = den A over Z[i], in O(n^4) ring operations.
 
-    Elementary similarities bring A to upper Hessenberg form H: for each
-    column k, a row swap with the matching column swap puts a nonzero
-    subdiagonal pivot p at (k+1, k), then row_i -= m row_(k+1) and
-    col_(k+1) += m col_i with m = h_ik / p clear the column below it. Then
-    det(zI - H) = p_n from the recurrence p_0 = 1,
-    p_k = (z - h_kk) p_(k-1) - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_(i-1)."""
+    Let M_k be the leading k x k block of M, c and r the first k entries of
+    its column and row k, and m its entry (k, k). Then det(zI - M_(k+1)),
+    as coefficients highest first, is the Toeplitz convolution of those of
+    det(zI - M_k) with (1, -m, -r c, -r M_k c, ..., -r M_k^(k-1) c). Since
+    det(zI - den A) = den^n det((z/den) I - A), the coefficient of z^j is
+    then divided by den^(n-j)."""
     n = a.n
     rows, den = _scaled_rows(a)
-    h = [[_q(re, im, den) for re, im in row] for row in rows]
-    for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if h[i][k][:2] != (0, 0)), None)
-        if piv is None:
-            continue
-        if piv != k + 1:
-            h[piv], h[k + 1] = h[k + 1], h[piv]
-            for row in h:
-                row[piv], row[k + 1] = row[k + 1], row[piv]
-        p, top = h[k + 1][k], h[k + 1]
-        for i in range(k + 2, n):
-            if h[i][k][:2] == (0, 0):
-                continue
-            m = _qdiv(h[i][k], p)
-            h[i][k:] = [_qsubmul(x, m, y) for x, y in zip(h[i][k:], top[k:])]
-            neg = (-m[0], -m[1], m[2])
-            for row in h:
-                if row[i][:2] != (0, 0):
-                    row[k + 1] = _qsubmul(row[k + 1], neg, row[i])
-    polys = [[(1, 0, 1)]]
+    poly = [(1, 0)]  # det(zI - M_k), highest degree first
     for k in range(n):
-        new = [(0, 0, 1)] + polys[k]  # z p_k
-        for j, c in enumerate(polys[k]):
-            new[j] = _qsubmul(new[j], h[k][k], c)
-        t = (1, 0, 1)
-        for i in range(k - 1, -1, -1):
-            t = _qmul(t, h[i + 1][i])
-            c = _qmul(h[i][k], t)
-            if c[:2] != (0, 0):
-                for j, x in enumerate(polys[i]):
-                    new[j] = _qsubmul(new[j], c, x)
-        polys.append(new)
-    return Poly([GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im, d in polys[n]])
+        v = [row[k] for row in rows[:k]]  # M_k^j c, for j = 0, 1, ...
+        mr, mi = rows[k][k]
+        toeplitz = [(1, 0), (-mr, -mi)]
+        for _ in range(k):
+            re, im = _dot(rows[k], v)
+            toeplitz.append((-re, -im))
+            v = _apply(rows[:k], v)
+        poly = [_dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
+    return Poly([_to_qi(c, (den ** (n - j), 0)) for j, c in enumerate(reversed(poly))])
 
 
 # -- Jordan structure ----------------------------------------------------------
@@ -392,6 +347,17 @@ def _independent(vectors, n):
     return _bareiss([[v[i] for v in vectors] for i in range(n)]) if vectors else []
 
 
+def _segre_parts(ranks) -> tuple:
+    """Jordan block sizes, descending, from ranks[k] = rank N^k for k = 0,
+    1, ... up to the first k with ranks[k] = ranks[k - 1] or to k = n: N has
+    ranks[k - 1] - ranks[k] blocks of size >= k."""
+    at_least = [r - s for r, s in zip(ranks, ranks[1:])] + [0]
+    parts = []
+    for size in range(len(at_least) - 1, 0, -1):
+        parts.extend([size] * (at_least[size - 1] - at_least[size]))
+    return tuple(parts)
+
+
 def segre_at(a: MatrixQi, value) -> SegrePartition:
     """Jordan block sizes of A at value, from the ranks of the powers of
     N = A - value I. Works regardless of where A's other eigenvalues live.
@@ -410,14 +376,7 @@ def segre_at(a: MatrixQi, value) -> SegrePartition:
         if ranks[-1] == ranks[-2]:
             break
         spanning = [_apply(shifted, b) for b in basis]
-    while len(ranks) < n + 2:
-        ranks.append(ranks[-1])
-    at_least = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]  # blocks of size >= k
-    parts = []
-    for size in range(n, 0, -1):
-        exactly = at_least[size - 1] - (at_least[size] if size < n else 0)
-        parts.extend([size] * exactly)
-    return SegrePartition(value, tuple(parts))
+    return SegrePartition(value, _segre_parts(ranks))
 
 
 def is_in_E(a: MatrixQi, value) -> bool:
@@ -445,17 +404,24 @@ def jordan_chains(a: MatrixQi, lam) -> list:
     Each chain is its columns N^(k-1) v, ..., N v, v for N = A - lam I and a
     top vector v of length k: the columns of T for one Jordan block at lam.
 
-    For k from the largest block down, the tops of length k are the vectors
-    of the kernel_basis of N^k that are independent of ker N^(k-1), of the
-    images N^(l-k) v of the longer tops and of the tops taken before them."""
+    The powers N^k are formed until dim ker N^k stops growing; those
+    dimensions give the block sizes. For k from the largest block down, the
+    tops of length k are the vectors of the kernel_basis of N^k that are
+    independent of ker N^(k-1), of the images N^(l-k) v of the longer tops
+    and of the tops taken before them."""
     lam = Qi(lam)
     n = a.n
-    parts = segre_at(a, lam).parts
     shifted, den = _scaled_rows(a, lam)  # den N
     powers = [[[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]]
-    for _ in range(max(parts, default=0)):
-        powers.append(_matmul(powers[-1], shifted))
-    kernels = [_kernel(p) for p in powers]
+    kernels = [_kernel(powers[0])]
+    while True:
+        power = _matmul(powers[-1], shifted)
+        kernel = _kernel(power)
+        if len(kernel[0]) == len(kernels[-1][0]):
+            break
+        powers.append(power)
+        kernels.append(kernel)
+    parts = _segre_parts([n - len(vectors) for vectors, _ in kernels] + [n - len(kernel[0])])
     chains = []  # (top vector times d, d, length), longest first
     for k in range(len(powers) - 1, 0, -1):
         known = kernels[k - 1][0] + [_apply(powers[length - k], top) for top, _, length in chains]
@@ -517,12 +483,23 @@ def jordan_decomposition(a: MatrixQi) -> JordanDecomposition:
 
 
 def apply_poly(p: Poly, a: MatrixQi) -> MatrixQi:
-    """Exact P(A) by Horner's rule."""
+    """Exact P(A) by Horner's rule on M = den A over Z[i], with P scaled to
+    Z[i] coefficients c_j = m p_j. After k products by M the accumulator is
+    m den^k times the Horner partial sum, so the next c_j enters times
+    den^k, and P(A) is the result over m den^(deg P)."""
     n = a.n
-    acc = MatrixQi.zero(n)
-    for c in reversed(p.coeffs):
-        acc = acc @ a + MatrixQi.identity(n).scale(c)
-    return acc
+    rows, den = _scaled_rows(a)
+    coeffs, m = _clear_denominators(p)
+    acc = [[(0, 0)] * n for _ in range(n)]
+    scale = 1  # den^k
+    for k, (re, im) in enumerate(reversed(coeffs)):
+        if k:
+            acc = _matmul(acc, rows)
+            scale *= den
+        for i, row in enumerate(acc):
+            row[i] = (row[i][0] + re * scale, row[i][1] + im * scale)
+    d = (m * scale, 0)
+    return MatrixQi([[_to_qi(x, d) for x in row] for row in acc])
 
 
 def f_of_jordan_block(p: Poly, k: int, z0) -> MatrixQi:

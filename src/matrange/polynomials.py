@@ -3,8 +3,9 @@
 Everything here is pure and exact: Horner evaluation, formal derivatives,
 monic Euclidean gcd, Yun square-free decomposition, exact division, root
 finding in Q(i) by p-adic (Hensel) lifting at a split prime p = 1 (mod 4),
-and the critical value polynomial D(a) = Res_z(P(z) - a, P'(z)) computed by
-evaluation-interpolation. Only integer and Fraction arithmetic is used.
+and the critical value polynomial D(a), the characteristic polynomial of
+multiplication by P modulo P' (so Res_z(P(z) - a, P'(z)) made monic). Only
+integer and Fraction arithmetic is used.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt, lcm
 
-from .errors import InternalInvariantError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError
 from .scalars import ONE, ZERO, GaussianRational, Qi, parse_scalar, render_scalar
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "RootWithMultiplicity",
     "InexactDivisionError",
     "critical_value_polynomial",
-    "resultant",
-    "interpolate",
 ]
 
 
@@ -247,10 +246,11 @@ def multiplicity_multiset(p: Poly, decomposition=None):
 
 
 def _clear_denominators(p: Poly):
-    """Scale p to Z[i] coefficients, returned as (re, im) integer pairs."""
+    """(coefficients, m): m p has Z[i] coefficients, returned as (re, im)
+    integer pairs, with m the lcm of the denominators of p's coefficients."""
     denoms = [c.re.denominator for c in p.coeffs] + [c.im.denominator for c in p.coeffs]
     m = lcm(*denoms) if denoms else 1
-    return [(int(c.re * m), int(c.im * m)) for c in p.coeffs]
+    return [(int(c.re * m), int(c.im * m)) for c in p.coeffs], m
 
 
 def _horner(coeffs, x, m):
@@ -326,7 +326,7 @@ def _squarefree_roots(s: Poly):
         s = Poly(s.coeffs[1:])
     if s.degree < 1:
         return roots
-    ints = _clear_denominators(s)
+    ints, _ = _clear_denominators(s)
     lc = ints[-1]
     # g_j = c_j lc^(d-1-j) as (re, im) pairs, built from the top down
     g, pw = [(1, 0)], (1, 0)
@@ -373,59 +373,21 @@ def gaussian_rational_roots(p: Poly, decomposition=None):
     return found
 
 
-# -- resultants and the critical value polynomial ------------------------------
-
-
-def resultant(p: Poly, q: Poly) -> GaussianRational:
-    """Res(p, q) by the Euclidean remainder sequence with leading-coefficient
-    bookkeeping; exact over Q(i)."""
-    if p.is_zero() or q.is_zero():
-        return ZERO
-    sign = ONE
-    acc = ONE
-    while True:
-        if q.is_constant():
-            return sign * acc * (q.leading() ** p.degree if p.degree >= 0 else ONE)
-        if p.degree < q.degree:
-            if (p.degree * q.degree) % 2 == 1:
-                sign = -sign
-            p, q = q, p
-            continue
-        r = p % q
-        if r.is_zero():
-            return ZERO
-        acc = acc * q.leading() ** (p.degree - r.degree)
-        if (p.degree * q.degree) % 2 == 1:
-            sign = -sign
-        p, q = q, r
-
-
-def interpolate(points) -> Poly:
-    """Lagrange interpolation through [(x, y)] with distinct x, exact."""
-    total = Poly.zero()
-    for i, (xi, yi) in enumerate(points):
-        basis = Poly.constant(1)
-        denom = ONE
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = basis * Poly((-xj, ONE))
-            denom = denom * (xi - xj)
-        total = total + basis.scale(yi / denom)
-    return total
+# -- the critical value polynomial ----------------------------------------------
 
 
 def critical_value_polynomial(p: Poly) -> Poly:
-    """D(a) = Res_z(p(z) - a, p'(z)): vanishes exactly at the critical values
-    of p, the only candidates for a totally ramified value."""
+    """D(a): vanishes exactly at the critical values of p, the only
+    candidates for a totally ramified value. D is monic: the characteristic
+    polynomial of multiplication by p on Q(i)[z]/(p'), the matrix whose
+    column j is z^j p mod p'. Its eigenvalues are the p(c), each as often as
+    c is a root of p', so D is Res_z(p(z) - a, p'(z)) made monic."""
+    from .matrices import MatrixQi, char_poly  # matrices imports this module
+
     if p.degree < 2:
         raise PreconditionError("critical values need degree >= 2")
     dp = p.derivative()
-    samples = []
-    for j in range(p.degree):  # D has degree <= deg p - 1
-        a = Qi(j)
-        samples.append((a, resultant(p.shift(a), dp)))
-    d = interpolate(samples)
-    if d.is_zero():
-        raise InternalInvariantError("critical value polynomial vanished identically")
-    return d
+    columns = [p % dp]
+    for _ in range(dp.degree - 1):
+        columns.append(Poly((ZERO,) + columns[-1].coeffs) % dp)
+    return char_poly(MatrixQi([[c.coeff(i) for c in columns] for i in range(dp.degree)]))

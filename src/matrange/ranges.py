@@ -202,6 +202,9 @@ class RangeVerdict:
     # ((eigenvalue, (Segre parts, {m: preimage roots})), ...) for every Q(i)
     # eigenvalue of A in canonical order, handed on to build_witness
     analysis: tuple = field(default=(), compare=False, repr=False)
+    # degree of the part of char(A) with no root in Q(i): eigenvalues the
+    # cover plan cannot list; rendered only when nonzero
+    outside_qi_degree: int = 0
 
     def render(self):
         out = {"solvable": self.solvable, "case": self.theorem_case.value}
@@ -222,6 +225,8 @@ class RangeVerdict:
                 }
                 for e in self.cover_plan
             ]
+        if self.outside_qi_degree:
+            out["outside_qi_degree"] = self.outside_qi_degree
         return out
 
 
@@ -288,7 +293,8 @@ def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
     # non-special eigenvalues never block; list the ones visible over Q(i).
     # Away from its TRVs a transcendental f has infinitely many simple
     # preimages, so only a polynomial's are named.
-    for r in gaussian_rational_roots(char_poly(a)):
+    roots = gaussian_rational_roots(char_poly(a))
+    for r in roots:
         if r.root in analysis:
             continue
         parts = segre_at(a, r.root).parts
@@ -298,7 +304,10 @@ def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
         for p in parts:
             plan.append(CoverPlanEntry(r.root, descriptor, p, 1, (p,)))
     ordered = tuple(sorted(analysis.items(), key=lambda item: item[0].sort_key()))
-    return RangeVerdict(True, case, cover_plan=tuple(plan), analysis=ordered)
+    outside = a.n - sum(r.multiplicity for r in roots)
+    return RangeVerdict(
+        True, case, cover_plan=tuple(plan), analysis=ordered, outside_qi_degree=outside
+    )
 
 
 # -- witness construction ------------------------------------------------------

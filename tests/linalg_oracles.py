@@ -4,13 +4,17 @@ fraction-free Z[i] core in matrange.matrices.
 Every routine works on GaussianRational entries: reduced row echelon form by
 Gauss-Jordan elimination over the field, an incremental span tracker,
 Faddeev-LeVerrier for the characteristic polynomial, and Segre partitions and
-Jordan chains from dense powers of A - lam I.
+Jordan chains from dense powers of A - lam I. A second characteristic
+polynomial, by Hessenberg reduction, works on (re, im, den) triples.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from matrange.errors import InternalInvariantError
 from matrange.matrices import MatrixQi, SegrePartition
 from matrange.polynomials import Poly
-from matrange.scalars import ONE, ZERO, Qi
+from matrange.scalars import ONE, ZERO, GaussianRational, Qi
 
 
 def apply(a: MatrixQi, v):
@@ -121,6 +125,82 @@ def char_poly(a: MatrixQi) -> Poly:
         if k < n:
             m = m + MatrixQi.identity(n).scale(c)
     return Poly(coeffs)
+
+
+# Q(i) values as (re, im, den): a Z[i] numerator over a positive integer
+# denominator, in lowest terms.
+
+
+def _q(re, im, den):
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
+def _triple(x):
+    den = lcm(x.re.denominator, x.im.denominator)
+    return _q((x.re * den).numerator, (x.im * den).numerator, den)
+
+
+def _qmul(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return _q(a * c - b * e, a * e + b * c, d * f)
+
+
+def _qdiv(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return _q((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+
+
+def _qsubmul(x, y, z):
+    """x - y z."""
+    (a, b, d), (c, e, f), (g, h, k) = x, y, z
+    fk = f * k
+    return _q(a * fk - (c * g - e * h) * d, b * fk - (c * h + e * g) * d, d * fk)
+
+
+def char_poly_hessenberg(a: MatrixQi) -> Poly:
+    """det(zI - A) in O(n^3) operations.
+
+    Elementary similarities bring A to upper Hessenberg form H: for each
+    column k, a row swap with the matching column swap puts a nonzero
+    subdiagonal pivot p at (k+1, k), then row_i -= m row_(k+1) and
+    col_(k+1) += m col_i with m = h_ik / p clear the column below it. Then
+    det(zI - H) = p_n from the recurrence p_0 = 1,
+    p_k = (z - h_kk) p_(k-1) - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_(i-1)."""
+    n = a.n
+    h = [[_triple(x) for x in row] for row in a.rows]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k][:2] != (0, 0)), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            h[piv], h[k + 1] = h[k + 1], h[piv]
+            for row in h:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        p, top = h[k + 1][k], h[k + 1]
+        for i in range(k + 2, n):
+            if h[i][k][:2] == (0, 0):
+                continue
+            m = _qdiv(h[i][k], p)
+            h[i][k:] = [_qsubmul(x, m, y) for x, y in zip(h[i][k:], top[k:])]
+            neg = (-m[0], -m[1], m[2])
+            for row in h:
+                if row[i][:2] != (0, 0):
+                    row[k + 1] = _qsubmul(row[k + 1], neg, row[i])
+    polys = [[(1, 0, 1)]]
+    for k in range(n):
+        new = [(0, 0, 1)] + polys[k]  # z p_k
+        for j, c in enumerate(polys[k]):
+            new[j] = _qsubmul(new[j], h[k][k], c)
+        t = (1, 0, 1)
+        for i in range(k - 1, -1, -1):
+            t = _qmul(t, h[i + 1][i])
+            c = _qmul(h[i][k], t)
+            if c[:2] != (0, 0):
+                for j, x in enumerate(polys[i]):
+                    new[j] = _qsubmul(new[j], c, x)
+        polys.append(new)
+    return Poly([GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im, d in polys[n]])
 
 
 def segre_at(a: MatrixQi, value) -> SegrePartition:

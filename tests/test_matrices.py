@@ -208,7 +208,7 @@ def planted(rng, n):
 
 
 def assert_layers_match_oracles(a, values, chains=True):
-    assert char_poly(a) == oracles.char_poly(a)
+    assert char_poly(a) == oracles.char_poly(a) == oracles.char_poly_hessenberg(a)
     assert a.rank() == oracles.rank(a)
     expected = oracles.inverse(a)
     if expected is None:
@@ -231,6 +231,16 @@ def test_layers_match_field_oracles_n1_to_12():
         not_eigenvalue = Qi(7, 5)  # |random_scalar(rng, 4, 3)| < 7
         assert segre_at(a, not_eigenvalue).is_empty()
         assert_layers_match_oracles(a, eigenvalues + [not_eigenvalue], chains=n <= 8)
+
+
+def test_char_poly_matches_hessenberg_oracle_dense_n13_to_20():
+    rng = random.Random(13)
+    for n in range(13, 21):
+        scale = [Qi(Fraction(rng.randint(1, 999), rng.randint(1, 999))) for _ in range(n)]
+        a = MatrixQi(
+            [[scale[i] * random_scalar(rng, 9, 3) / scale[j] for j in range(n)] for i in range(n)]
+        )
+        assert char_poly(a) == oracles.char_poly_hessenberg(a)
 
 
 def test_layers_match_field_oracles_nilpotent_and_zero():

@@ -13,14 +13,14 @@ from matrange.polynomials import (
     critical_value_polynomial,
     gaussian_rational_roots,
     gcd_monic,
-    interpolate,
     multiplicity_multiset,
-    resultant,
     squarefree_decomposition,
     _split_prime,
     _squarefree_roots,
 )
 from matrange.scalars import GaussianRational, Qi
+from resultant_oracles import critical_value_polynomial as resultant_in_a
+from resultant_oracles import interpolate, resultant
 from root_oracles import roots_by_divisors, roots_by_sympy
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -246,6 +246,31 @@ def test_critical_value_polynomial_examples():
     d = critical_value_polynomial(z_pow(2) * Poly([-1, 1]))
     values = {r.root for r in gaussian_rational_roots(d)}
     assert values == {Qi(0), Qi("-4/27")}
+
+
+def test_critical_value_polynomial_is_the_monic_resultant():
+    rng = random.Random(7)
+
+    def gaussian(height, denom):
+        return GaussianRational(
+            Fraction(rng.randint(-height, height), rng.randint(1, denom)),
+            Fraction(rng.randint(1, height), rng.randint(1, denom)),  # never zero
+        )
+
+    cases = [z_pow(k) for k in range(2, 13)]
+    while len(cases) < 20:  # q^2 + t: repeated critical points at the roots of q
+        q = Poly.from_roots([gaussian(3, 2) for _ in range(rng.randint(1, 6))])
+        cases.append(q * q + Poly.constant(gaussian(5, 3)))
+    while len(cases) < 30:  # dense, Gaussian leading coefficient
+        cases.append(Poly([gaussian(9, 5) for _ in range(rng.randint(3, 13))]))
+    while len(cases) < 40:  # a multiple root of p is also a root of p'
+        roots = [gaussian(4, 2) for _ in range(rng.randint(1, 3))] * rng.randint(2, 3)
+        cases.append(Poly.from_roots(roots + [gaussian(4, 2)], leading=gaussian(3, 3)))
+    for p in cases:
+        assert 2 <= p.degree <= 12, p
+        d = critical_value_polynomial(p)
+        assert d.degree == p.degree - 1 and d == d.monic(), p
+        assert d == resultant_in_a(p).monic(), p
 
 
 def test_critical_value_polynomial_rejects_low_degree():

@@ -322,6 +322,16 @@ def test_witness_unavailable_for_irrational_spectrum():
         build_witness(f, a)
 
 
+def test_verdict_reports_the_degree_of_the_spectrum_outside_qi():
+    f = poly_f([0, 0, 1])
+    a = MatrixQi([["0", "1"], ["2", "0"]])  # eigenvalues +-sqrt(2)
+    expected = {"solvable": True, "case": "III", "cover_plan": [], "outside_qi_degree": 2}
+    assert decide_range(f, a).render() == expected
+    # a spectrum inside Q(i), and a blocked verdict, render without the key
+    assert "outside_qi_degree" not in decide_range(f, MatrixQi.diagonal([1, 4])).render()
+    assert "outside_qi_degree" not in decide_range(f, J(2, 0)).render()
+
+
 def test_witness_rejects_a_verdict_for_another_matrix():
     f = poly_f([0, 0, 1])
     verdict = decide_range(f, MatrixQi.diagonal([1, 4, 9]))

@@ -16,3 +16,15 @@ def test_no_assert_guards_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+def test_no_floating_point_in_package():
+    # the decision path is exact: no float literal, no float or complex name
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))) or (
+                isinstance(node, ast.Name) and node.id in ("float", "complex")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and not found, found
