@@ -46,6 +46,8 @@ def _load_json_arg(raw: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed {what} JSON at position {e.pos}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError(f"{what} JSON is nested too deeply") from e
 
 
 def _load_matrix(raw: str) -> MatrixQi:

@@ -26,9 +26,7 @@ from enum import Enum
 from .errors import InternalInvariantError, ParseError, PreconditionError
 from .polynomials import (
     Poly,
-    RootWithMultiplicity,
     gaussian_rational_roots,
-    gcd_monic,
     multiplicity_multiset,
     squarefree_decomposition,
     critical_value_polynomial,

@@ -19,12 +19,11 @@ entries, so every pivot decision is an exact zero test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import InternalInvariantError, ParseError, PreconditionError
-from .polynomials import Poly, _clear_denominators, gaussian_rational_roots
-from .scalars import ONE, ZERO, GaussianRational, Qi, parse_scalar, render_scalar
+from .polynomials import Poly, gaussian_rational_roots
+from .scalars import ONE, ZERO, GaussianRational, Qi, _from_zi, _to_zi, parse_scalar, render_scalar
 
 __all__ = [
     "MatrixQi",
@@ -115,7 +114,7 @@ class MatrixQi:
         x, dx = _scaled_rows(self)
         y, dy = _scaled_rows(other)
         den = (dx * dy, 0)
-        return MatrixQi([[_to_qi(v, den) for v in row] for row in _matmul(x, y)])
+        return MatrixQi([[_from_zi(v, den) for v in row] for row in _matmul(x, y)])
 
     def scale(self, c) -> "MatrixQi":
         c = Qi(c)
@@ -138,7 +137,7 @@ class MatrixQi:
         One vector per free column f of the reduced row echelon form R: 1 at
         f, 0 at the other free columns, -R[i][f] at the i-th pivot column."""
         vectors, d = _kernel(_scaled_rows(self)[0])
-        return [tuple(_to_qi(x, d) for x in v) for v in vectors]
+        return [tuple(_from_zi(x, d) for x in v) for v in vectors]
 
     def inverse(self) -> "MatrixQi":
         n = self.n
@@ -149,7 +148,7 @@ class MatrixQi:
             raise PreconditionError("matrix is singular")
         # rows are [d I | d (den A)^-1] and A^-1 = den (den A)^-1
         d = rows[0][0]
-        return MatrixQi([[_to_qi((den * re, den * im), d) for re, im in row[n:]] for row in rows])
+        return MatrixQi([[_from_zi((den * re, den * im), d) for re, im in row[n:]] for row in rows])
 
     # -- JSON format ----------------------------------------------------------
 
@@ -177,30 +176,14 @@ class MatrixQi:
 def _scaled_rows(a: MatrixQi, shift=ZERO):
     """(rows, den): den (A - shift I) as Z[i] rows, with den the lcm of the
     denominators of A's entries and of shift."""
-    den = lcm(
-        shift.re.denominator,
-        shift.im.denominator,
-        *(x.re.denominator for row in a.rows for x in row),
-        *(x.im.denominator for row in a.rows for x in row),
-    )
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (den // q.denominator)
-
-    rows = [[(scaled(x.re), scaled(x.im)) for x in row] for row in a.rows]
-    if not shift.is_zero():
-        sre, sim = scaled(shift.re), scaled(shift.im)
+    n = a.n
+    flat, den = _to_zi([x for row in a.rows for x in row] + [shift])
+    sre, sim = flat.pop()
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if sre or sim:
         for i, row in enumerate(rows):
             row[i] = (row[i][0] - sre, row[i][1] - sim)
     return rows, den
-
-
-def _to_qi(x, d) -> GaussianRational:
-    """The Gaussian integer x divided by the nonzero Gaussian integer d."""
-    (xr, xi), (dr, di) = x, d
-    if di:
-        xr, xi, dr = xr * dr + xi * di, xi * dr - xr * di, dr * dr + di * di
-    return GaussianRational(Fraction(xr, dr), Fraction(xi, dr))
 
 
 def _exact_div(x, d):
@@ -320,7 +303,7 @@ def char_poly(a: MatrixQi) -> Poly:
             toeplitz.append((-re, -im))
             v = _apply(rows[:k], v)
         poly = [_dot(poly, toeplitz[j::-1]) for j in range(k + 2)]
-    return Poly([_to_qi(c, (den ** (n - j), 0)) for j, c in enumerate(reversed(poly))])
+    return Poly([_from_zi(c, (den ** (n - j), 0)) for j, c in enumerate(reversed(poly))])
 
 
 # -- Jordan structure ----------------------------------------------------------
@@ -438,7 +421,7 @@ def jordan_chains(a: MatrixQi, lam) -> list:
     for top, (dr, di), length in chains:  # N^j v = (den N)^j (d v) / (den^j d)
         out.append(
             [
-                tuple(_to_qi(x, (den**j * dr, den**j * di)) for x in _apply(powers[j], top))
+                tuple(_from_zi(x, (den**j * dr, den**j * di)) for x in _apply(powers[j], top))
                 for j in reversed(range(length))
             ]
         )
@@ -489,7 +472,7 @@ def apply_poly(p: Poly, a: MatrixQi) -> MatrixQi:
     den^k, and P(A) is the result over m den^(deg P)."""
     n = a.n
     rows, den = _scaled_rows(a)
-    coeffs, m = _clear_denominators(p)
+    coeffs, m = _to_zi(p.coeffs)
     acc = [[(0, 0)] * n for _ in range(n)]
     scale = 1  # den^k
     for k, (re, im) in enumerate(reversed(coeffs)):
@@ -499,7 +482,7 @@ def apply_poly(p: Poly, a: MatrixQi) -> MatrixQi:
         for i, row in enumerate(acc):
             row[i] = (row[i][0] + re * scale, row[i][1] + im * scale)
     d = (m * scale, 0)
-    return MatrixQi([[_to_qi(x, d) for x in row] for row in acc])
+    return MatrixQi([[_from_zi(x, d) for x in row] for row in acc])
 
 
 def f_of_jordan_block(p: Poly, k: int, z0) -> MatrixQi:
@@ -511,7 +494,7 @@ def f_of_jordan_block(p: Poly, k: int, z0) -> MatrixQi:
     taylor = []
     d = p
     for j in range(k):
-        taylor.append(d(z0) / Qi(Fraction(factorial(j))))
+        taylor.append(d(z0) / Qi(factorial(j)))
         d = d.derivative()
     return MatrixQi(
         [[taylor[j - i] if j >= i else ZERO for j in range(k)] for i in range(k)]

@@ -11,12 +11,11 @@ integer and Fraction arithmetic is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import ParseError, PreconditionError
-from .scalars import ONE, ZERO, GaussianRational, Qi, parse_scalar, render_scalar
+from .scalars import ONE, ZERO, GaussianRational, Qi, _from_zi, _to_zi, parse_scalar, render_scalar
 
 __all__ = [
     "Poly",
@@ -245,14 +244,6 @@ def multiplicity_multiset(p: Poly, decomposition=None):
 # -- roots in Q(i) -------------------------------------------------------------
 
 
-def _clear_denominators(p: Poly):
-    """(coefficients, m): m p has Z[i] coefficients, returned as (re, im)
-    integer pairs, with m the lcm of the denominators of p's coefficients."""
-    denoms = [c.re.denominator for c in p.coeffs] + [c.im.denominator for c in p.coeffs]
-    m = lcm(*denoms) if denoms else 1
-    return [(int(c.re * m), int(c.im * m)) for c in p.coeffs], m
-
-
 def _horner(coeffs, x, m):
     acc = 0
     for c in reversed(coeffs):
@@ -326,7 +317,7 @@ def _squarefree_roots(s: Poly):
         s = Poly(s.coeffs[1:])
     if s.degree < 1:
         return roots
-    ints, _ = _clear_denominators(s)
+    ints, _ = _to_zi(s.coeffs)
     lc = ints[-1]
     # g_j = c_j lc^(d-1-j) as (re, im) pairs, built from the top down
     g, pw = [(1, 0)], (1, 0)
@@ -347,13 +338,12 @@ def _squarefree_roots(s: Poly):
             [_hensel_lift(image, x, p, m) for x in range(p) if _horner(image, x, p) == 0]
         )
     half, inv2, inv2i = m // 2, pow(2, -1, m), pow(2 * iota, -1, m)
-    lc = GaussianRational(Fraction(lc[0]), Fraction(lc[1]))
     for x in lifted[0]:
         for y in lifted[1]:
             a, b = (x + y) * inv2 % m, (x - y) * inv2i % m
             a, b = a - m if a > half else a, b - m if b > half else b
             if a * a + b * b <= bound * bound:
-                r = GaussianRational(Fraction(a), Fraction(b)) / lc
+                r = _from_zi((a, b), lc)
                 if s(r).is_zero():
                     roots.append(r)
     return roots

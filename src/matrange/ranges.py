@@ -12,7 +12,9 @@ available preimage multiplicities?
 split_pattern's closed form is anchored at both extremes (m = 1 gives one
 full block; m >= K gives all-trivial blocks) and is permanently guarded by
 the brute-force rank oracle split_pattern_oracle: if the two ever disagree,
-the oracle wins and the build fails.
+the oracle wins and the build fails. The cover search inlines that closed
+form as moves on the descending partition itself, and a test pins the two
+equal. describe_range runs one memoised search per TRV for all partitions.
 """
 
 from __future__ import annotations
@@ -95,15 +97,33 @@ def split_pattern_oracle(K: int, m: int, variant: str = "simple") -> tuple:
 # -- partition covers ----------------------------------------------------------
 
 
-def _multiset_subtract(target, parts):
-    """target minus parts as descending tuples, or None if not a sub-multiset."""
-    remaining = list(target)
-    for p in parts:
-        try:
-            remaining.remove(p)
-        except ValueError:
-            return None
-    return tuple(remaining)
+def _cover_search(rest, options, memo):
+    """The first cover of the descending partition `rest` by split patterns
+    with root multiplicities in `options`, as a chain ((K, m), tail) ending
+    in (), or None. `memo` keeps every answer found with these options, so
+    one dict serves any number of partitions; an answer shares its tail's
+    chain, so each entry costs one pair. (A self-recursive closure would keep
+    its memo alive in a reference cycle until a full garbage collection.)"""
+    if not rest:
+        return ()
+    if rest in memo:
+        return memo[rest]
+    # the largest remaining part p must be the largest part of some pattern:
+    # K = m(p-1) + j with 1 <= j <= m, and split_pattern(K, m) is j parts p
+    # then m - j parts p - 1 (none when p = 1)
+    p = rest[0]
+    big, small = rest.count(p), rest.count(p - 1)
+    result = None
+    for K, m, j in sorted((m * (p - 1) + j, m, j) for m in options for j in range(1, m + 1)):
+        k = m - j if p > 1 else 0
+        if j > big or k > small:
+            continue
+        tail = _cover_search(rest[j:big] + rest[big + k :], options, memo)
+        if tail is not None:
+            result = ((K, m), tail)
+            break
+    memo[rest] = result
+    return result
 
 
 def coverable(target, multiplicities, simple_available=False):
@@ -122,33 +142,14 @@ def coverable(target, multiplicities, simple_available=False):
     options = sorted(set(multiplicities) | ({1} if simple_available else set()))
     if any(m < 2 for m in multiplicities):
         raise PreconditionError("preimage multiplicities in M must be >= 2")
-    memo = {}
-
-    def search(rest):
-        if not rest:
-            return []
-        if rest in memo:
-            return memo[rest]
-        p = rest[0]
-        # the largest remaining part must be the largest part of some pattern,
-        # which pins ceil(K/m) = p
-        moves = sorted(
-            (K, m) for m in options for K in range(m * (p - 1) + 1, m * p + 1)
-        )
-        result = None
-        for K, m in moves:
-            rem = _multiset_subtract(rest, split_pattern(K, m).parts)
-            if rem is None:
-                continue
-            tail = search(rem)
-            if tail is not None:
-                result = [(K, m)] + tail
-                break
-        memo[rest] = result
-        return result
-
-    cover = search(target)
-    return None if cover is None else sorted(cover)
+    node = _cover_search(target, options, {})
+    if node is None:
+        return None
+    cover = []
+    while node:
+        move, node = node
+        cover.append(move)
+    return sorted(cover)
 
 
 def nontrivial_partitions(n: int):
@@ -406,12 +407,10 @@ def describe_range(f: EntireFunction, n: int) -> RangeDescription:
     if n < 1:
         raise PreconditionError("dimension must be >= 1")
     profile = validate(f)
+    partitions = nontrivial_partitions(n)
     uncoverable = []
     for entry in profile.trv_entries:
-        bad = tuple(
-            p
-            for p in nontrivial_partitions(n)
-            if coverable(p, set(entry.multiplicity_multiset)) is None
-        )
+        options, memo = sorted(set(entry.multiplicity_multiset)), {}
+        bad = tuple(p for p in partitions if _cover_search(p, options, memo) is None)
         uncoverable.append((entry.value, bad))
     return RangeDescription(profile.theorem_case, profile, n, tuple(uncoverable))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 
@@ -94,6 +95,29 @@ def Qi(re=0, im=0) -> GaussianRational:
 ZERO = Qi(0)
 ONE = Qi(1)
 I = Qi(0, 1)
+
+
+# -- Gaussian integers -----------------------------------------------------------
+# The integer cores of the engine hold a Gaussian integer as an (re, im) pair of
+# ints. These two helpers are the only conversions between Q(i) and Z[i].
+
+
+def _to_zi(values):
+    """(pairs, den): den x as a Gaussian integer (re, im) for each x in the
+    sequence values, with den the lcm of their denominators (1 if empty)."""
+    den = lcm(*(x.re.denominator for x in values), *(x.im.denominator for x in values))
+    return [
+        (x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
+        for x in values
+    ], den
+
+
+def _from_zi(x, d) -> GaussianRational:
+    """The Gaussian integer x divided by the nonzero Gaussian integer d."""
+    (xr, xi), (dr, di) = x, d
+    if di:
+        xr, xi, dr = xr * dr + xi * di, xi * dr - xr * di, dr * dr + di * di
+    return GaussianRational(Fraction(xr, dr), Fraction(xi, dr))
 
 
 def _render_fraction(x: Fraction) -> str:

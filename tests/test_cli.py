@@ -114,6 +114,16 @@ def test_non_string_and_non_ascii_scalars_are_parse_errors(capsys, function, mat
     assert json.loads(capsys.readouterr().err)["error"] == "parse"
 
 
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    deep = "[" * 3000 + "]" * 3000
+    assert main(["decide", "--function", deep, "--matrix", NILPOTENT_2]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    assert main(["decide", "--function", SQUARE, "--matrix", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+
 def test_unknown_function_type_rejected():
     code, _, err = run_cli("analyze", "--function", '{"type":"cosh","coeffs":[]}')
     assert code == 1

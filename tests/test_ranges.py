@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import cover_oracles
 from matrange import functions, polynomials
 from matrange.errors import InternalInvariantError, PreconditionError, WitnessUnavailable
 from matrange.functions import (
@@ -151,6 +152,38 @@ def test_cover_soundness_end_to_end(rng):
         f = Poly.monomial(m)  # root 0 of multiplicity m at value 0
         y = MatrixQi.block_diag([J(K, 0) for K, _ in cover])
         assert segre_at(apply_poly(f, y), 0).parts == target
+
+
+def test_cover_move_identity():
+    # the search applies split_pattern(m(p-1) + j, m) as j parts p and
+    # m - j parts p - 1, zero parts dropped
+    for m in range(1, 13):
+        for p in range(1, 13):
+            for j in range(1, m + 1):
+                parts = (p,) * j + (p - 1,) * (m - j if p > 1 else 0)
+                assert split_pattern(m * (p - 1) + j, m).parts == parts, (m, p, j)
+
+
+def test_cover_search_matches_per_partition_oracle():
+    targets = nontrivial_partitions(12) + [(1,) * k for k in range(1, 25)]
+    subsets = [s for r in range(1, 4) for s in itertools.combinations([2, 3, 4, 5, 7], r)]
+    for target in targets:
+        for ms in subsets:
+            for simple in (False, True):
+                want = cover_oracles.coverable(target, ms, simple)
+                assert coverable(target, ms, simple) == want, (target, ms, simple)
+
+
+def test_describe_range_matches_per_partition_oracle():
+    fs = [
+        poly_f([0, 0, 1]),
+        poly_f([0, 0, 0, 1]),
+        polynomial_function(Poly.from_roots([0, 0, 1, 1, 1])),
+        sin_family(1, -1, 1, 0),
+    ]
+    for n in range(1, 15):
+        for f in fs:
+            assert describe_range(f, n).render() == cover_oracles.describe_range(f, n).render()
 
 
 def test_nontrivial_partitions():
