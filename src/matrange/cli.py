@@ -32,16 +32,17 @@ __all__ = ["main"]
 
 def _load_json_arg(raw: str, what: str):
     """Accept inline JSON, a file path, or "-" for stdin."""
-    if raw == "-":
-        text = sys.stdin.read()
-    elif raw.lstrip().startswith(("{", "[")):
-        text = raw
-    else:
-        try:
+    try:
+        if raw == "-":
+            text = sys.stdin.read()
+        elif raw.lstrip().startswith(("{", "[")):
+            text = raw
+        else:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
-            raise ParseError(f"cannot read {what} file {raw!r}: {e}") from e
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
+        source = "from stdin" if raw == "-" else f"file {raw!r}"
+        raise ParseError(f"cannot read {what} {source}: {e}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

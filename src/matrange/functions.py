@@ -5,7 +5,9 @@ A totally ramified value (TRV) of f is a value a such that every root of
 f(z) = a has multiplicity at least 2; an entire function has at most two,
 a polynomial at most one. A non-constant entire function omits at most one
 value, and omitting one rules TRVs out. The detector and the catalog
-metadata enforce these bounds as hard invariants.
+metadata enforce these bounds as hard invariants. A polynomial's TRV is read
+off the square-free decomposition of its critical value polynomial, and the
+profile carries each TRV's preimages (preimage_roots, run once per TRV).
 
 Catalog families:
   * sin family      f(z) = ((a-b)/2) sin(cz+d) + (a+b)/2, a != b, c != 0:
@@ -20,7 +22,7 @@ Catalog families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InternalInvariantError, ParseError, PreconditionError
@@ -61,6 +63,7 @@ class TrvEntry:
     value: GaussianRational
     multiplicity_multiset: tuple  # sorted, every entry >= 2
     has_infinitely_many_preimages: bool
+    preimages: PreimageInfo = field(compare=False, repr=False)  # of f - value
 
 
 @dataclass(frozen=True)
@@ -148,25 +151,26 @@ def exp_poly_family(v, p: Poly, c, d) -> EntireFunction:
 # -- TRV detection for polynomials ---------------------------------------------
 
 
-def polynomial_trvs(p: Poly):
-    """TRVs of a polynomial with Q(i) coefficients. Candidates are the Q(i)
-    roots of the critical value polynomial; a candidate survives iff every
-    root of P - a is multiple, read exactly off the multiplicity multiset of
-    P - a. The unique TRV of a Q(i) polynomial is itself fixed by every
-    automorphism of C over Q(i), so searching Q(i) roots loses nothing."""
-    if p.degree < 2:
+def polynomial_trvs(f: EntireFunction):
+    """TRVs of a polynomial f = P over Q(i), read off the square-free
+    decomposition of the critical value polynomial D, with no root search.
+    Let d = deg P. If a is a TRV, P - a has r <= d/2 distinct roots, each of
+    multiplicity m >= 2 and a root of P' of multiplicity m - 1; so a is a
+    root of D (degree d - 1) of multiplicity d - r >= d/2, and any other root
+    of D has multiplicity at most r - 1 < d/2. The only candidate is thus the
+    root of the one square-free factor of D with 2 mult >= d, which is linear
+    (so the TRV lies in Q(i)); it is a TRV iff P - a has no simple root."""
+    if f.poly.degree < 2:
         return []
-    found = []
-    for cand in gaussian_rational_roots(critical_value_polynomial(p)):
-        mults = multiplicity_multiset(p.shift(cand.root))
-        if min(mults) >= 2:
-            found.append(TrvEntry(cand.root, tuple(mults), has_infinitely_many_preimages=False))
-    if len(found) > 1:
-        raise InternalInvariantError(
-            "a polynomial can have at most one totally ramified value; "
-            f"detector reported {len(found)}"
-        )
-    return found
+    d_factors = squarefree_decomposition(critical_value_polynomial(f.poly))
+    heavy = [g for g, mult in d_factors if 2 * mult >= f.poly.degree]
+    if sum(g.degree for g in heavy) > 1:
+        raise InternalInvariantError("a polynomial can have at most one totally ramified value")
+    if not heavy:
+        return []
+    value = -heavy[0].coeff(0)
+    info = preimage_roots(f, value)
+    return [] if 1 in info.multiset else [TrvEntry(value, info.multiset, False, info)]
 
 
 # -- profiles ------------------------------------------------------------------
@@ -174,21 +178,21 @@ def polynomial_trvs(p: Poly):
 
 def ramification_profile(f: EntireFunction) -> RamificationProfile:
     if f.kind == "polynomial":
-        trvs = tuple(polynomial_trvs(f.poly))
+        trvs = tuple(polynomial_trvs(f))
         case = TheoremCase.ONE_TRV if trvs else TheoremCase.NO_TRV
         return RamificationProfile((), trvs, case)
     if f.kind == "sin_family":
         trvs = tuple(
-            TrvEntry(value, (2,), has_infinitely_many_preimages=True)
+            TrvEntry(value, (2,), True, preimage_roots(f, value))
             for value in sorted((f.a, f.b), key=lambda x: x.sort_key())
         )
         return RamificationProfile((), trvs, TheoremCase.TWO_TRV)
     # exp-poly family
     if f.poly.is_constant():
         return RamificationProfile((f.v,), (), TheoremCase.OMITS_VALUE)
-    mults = multiplicity_multiset(f.poly)
-    if min(mults) >= 2:
-        trvs = (TrvEntry(f.v, tuple(mults), has_infinitely_many_preimages=False),)
+    info = preimage_roots(f, f.v)
+    if 1 not in info.multiset:
+        trvs = (TrvEntry(f.v, info.multiset, False, info),)
         return RamificationProfile((), trvs, TheoremCase.ONE_TRV)
     return RamificationProfile((), (), TheoremCase.NO_TRV)
 

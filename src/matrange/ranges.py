@@ -231,10 +231,10 @@ class RangeVerdict:
         return out
 
 
-def _preimages(f: EntireFunction, value) -> dict:
-    """{m: Q(i) roots of f - value of multiplicity m, in canonical order}."""
+def _preimages(info) -> dict:
+    """{m: Q(i) roots of multiplicity m, in canonical order} of a PreimageInfo."""
     by_mult = {}
-    for r in preimage_roots(f, value).roots:  # canonical order already
+    for r in info.roots:  # canonical order already
         by_mult.setdefault(r.multiplicity, []).append(r.root)
     return {m: tuple(roots) for m, roots in by_mult.items()}
 
@@ -279,7 +279,7 @@ def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
                 case,
                 BlockingInfo(entry.value, BlockingReason.UNCOVERABLE_PARTITION, partition),
             )
-        preimages = _preimages(f, entry.value)
+        preimages = _preimages(entry.preimages)
         analysis[entry.value] = (partition.parts, preimages)
         for K, m in cover:
             plan.append(
@@ -299,7 +299,7 @@ def decide_range(f: EntireFunction, a: MatrixQi) -> RangeVerdict:
         if r.root in analysis:
             continue
         parts = segre_at(a, r.root).parts
-        preimages = _preimages(f, r.root) if f.kind == "polynomial" else {}
+        preimages = _preimages(preimage_roots(f, r.root)) if f.kind == "polynomial" else {}
         analysis[r.root] = (parts, preimages)
         descriptor = _preimage_descriptor(f, preimages, 1, trv=False)
         for p in parts:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrange.cli import main
 from matrange.functions import EntireFunction, exp_poly_family, polynomial_function, sin_family
@@ -122,6 +127,26 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     path.write_text(deep, encoding="utf-8")
     assert main(["decide", "--function", SQUARE, "--matrix", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+
+def test_unreadable_input_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff[]")  # not UTF-8
+    for argv in (
+        ["decide", "--function", str(bad), "--matrix", NILPOTENT_2],
+        ["decide", "--function", SQUARE, "--matrix", str(bad)],
+        ["analyze", "--function", "bad\0.json"],  # a NUL in the path
+    ):
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+    proc = subprocess.run(
+        [sys.executable, "-m", "matrange.cli", "decide", "--function", SQUARE, "--matrix", "-"],
+        input=b"\xff[]",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "parse"
 
 
 def test_unknown_function_type_rejected():
@@ -247,3 +272,81 @@ def test_round_trip_fuzz(rng):
                 c = parse_scalar("1")
             f = exp_poly_family(random_scalar(rng), p, c, random_scalar(rng))
         assert EntireFunction.parse(json.loads(json.dumps(f.render()))) == f
+
+
+# -- fuzz: every input ends in a structured answer -----------------------------
+
+FLAGS = {
+    "analyze": ("function",),
+    "decide": ("function", "matrix"),
+    "witness": ("function", "matrix"),
+    "classify": ("matrix", "value"),
+    "evaluate": ("function", "matrix"),
+    "describe-range": ("function", "n"),
+}
+VALID = st.sampled_from(["0", "1", "-1", "1/2", "-3/2+i", "2i", "0-1i"])
+SCALARS = VALID | st.text(max_size=8) | st.integers(-5, 5) | st.floats() | st.none() | st.booleans()
+ANY_JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def rows(scalars):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def functions(scalars):
+    """Every field any family reads, so well-formed scalars give a function."""
+    fields = {key: scalars for key in "abcdv"}
+    fields.update(coeffs=st.lists(scalars, min_size=1, max_size=4), p_coeffs=st.lists(scalars, max_size=4))
+    return st.fixed_dictionaries({"type": st.sampled_from(["polynomial", "sin_family", "exp_poly"]), **fields})
+
+
+# well-formed inputs twice as often as the rest
+FUNCTIONS = st.one_of(functions(VALID), functions(VALID), functions(SCALARS), ANY_JSON)
+MATRICES = st.one_of(
+    rows(VALID),
+    rows(VALID),
+    st.fixed_dictionaries({"n": st.integers(-1, 4) | SCALARS, "rows": rows(SCALARS)}),
+    ANY_JSON,
+)
+
+
+def _json_or_file(objects):
+    """Inline JSON text (three times in four), or the random bytes of a file,
+    half of them led by a byte >= 0x80, which is rarely valid UTF-8."""
+    high = st.builds(lambda b, rest: bytes([b]) + rest, st.integers(0x80, 0xFF), st.binary(max_size=23))
+    return st.one_of(*[objects.map(json.dumps)] * 3, st.binary(max_size=24) | high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(sorted(FLAGS)),
+    function=_json_or_file(FUNCTIONS),
+    matrix=_json_or_file(MATRICES),
+    value=VALID | st.text(max_size=10),
+    n=st.integers(-2, 5),
+)
+def test_cli_fuzz_ends_in_json_or_structured_error(tmp_path_factory, command, function, matrix, value, n):
+    folder = tmp_path_factory.getbasetemp()
+    drawn = {"function": function, "matrix": matrix, "value": value, "n": str(n)}
+    argv = [command]
+    for flag in FLAGS[command]:
+        arg = drawn[flag]
+        if isinstance(arg, bytes):
+            path = folder / f"fuzz-{flag}.json"
+            path.write_bytes(arg)
+            arg = str(path)
+        argv.append(f"--{flag}={arg}")  # never read as an option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert json.loads(err.getvalue())["error"] in ("parse", "precondition"), argv

@@ -1,6 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
+import trv_oracles
+from matrange import functions
 from matrange.errors import InternalInvariantError, PreconditionError
 from matrange.functions import (
     PreimageKind,
@@ -186,3 +190,54 @@ def test_exact_multiplicities_match_numerical_root_clusters(rng):
             counts[nearest] += 1
         assert counts == seen
         assert sorted(seen.values()) == exact
+
+
+# -- differential oracle: the candidate search on D ----------------------------
+
+
+def nonzero(c):
+    return Qi(1) if c.is_zero() else c
+
+
+def planted(rng, simple):
+    """lc * prod (z - r_i)^m_i + t of degree <= 8, every m_i >= 2 unless
+    simple, when some m_i = 1 too."""
+    p = Poly.constant(nonzero(random_scalar(rng, 3, 2)))
+    low = 1 if simple else 2
+    while p.degree < 2 or (p.degree <= 8 - low and rng.random() < 0.6):
+        m = rng.randint(low, min(4, 8 - p.degree))
+        p = p * Poly.from_roots([random_scalar(rng, 2, 2)] * m)
+    return p + Poly.constant(random_scalar(rng, 3, 2))
+
+
+def dense(rng):
+    deg = rng.randint(2, 8)
+    lead = random_scalar(rng, 3, 2) if rng.random() < 0.5 else Qi(1)
+    return Poly([random_scalar(rng, 3, 1) for _ in range(deg)] + [nonzero(lead)])
+
+
+def test_trv_detector_matches_candidate_search():
+    rng = random.Random(10)
+    z = Poly.monomial(1)
+    corpus = [Poly.monomial(2), Poly.monomial(3) * (z - Poly.constant(1))]  # d/2 edge cases
+    corpus += [planted(rng, simple=False) for _ in range(100)]
+    corpus += [planted(rng, simple=True) for _ in range(70)]
+    corpus += [dense(rng) for _ in range(80)]
+    with_trv = 0
+    for p in corpus:
+        profile = ramification_profile(polynomial_function(p))
+        got = [(e.value, e.multiplicity_multiset) for e in profile.trv_entries]
+        assert got == trv_oracles.polynomial_trvs(p), p
+        for e in profile.trv_entries:
+            assert e.preimages == preimage_roots(polynomial_function(p), e.value)
+        with_trv += bool(got)
+    assert with_trv > 120  # the planted corpus exercises the TRV branch
+
+
+def test_two_heavy_critical_values_are_an_internal_error(monkeypatch):
+    # roots 0 and 1 of multiplicity >= deg P / 2 = 2: one heavy factor of
+    # degree 2, then two heavy linear factors
+    for fake_d in (Poly.from_roots([0, 0, 1, 1]), Poly.from_roots([0, 0, 1, 1, 1])):
+        monkeypatch.setattr(functions, "critical_value_polynomial", lambda p: fake_d)
+        with pytest.raises(InternalInvariantError):
+            ramification_profile(polynomial_function(Poly.monomial(4)))

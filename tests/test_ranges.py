@@ -413,8 +413,13 @@ def test_one_squarefree_decomposition_per_polynomial(monkeypatch):
         monkeypatch.setattr(module, "squarefree_decomposition", counted)
     a = MatrixQi.block_diag([J(2, 0), J(1, 0), MatrixQi.diagonal([4, 9, 1])])
     assert decide_range(poly_f([0, 0, 1]), a).solvable
-    # D(a) and z^2 for the TRV; char(A); z^2 - lam at each of 4 eigenvalues
-    assert len(calls) == 7
+    # D(a); z^2 once, in the profile; char(A); z^2 - lam at 4, 9 and 1
+    assert len(calls) == 6
+    calls.clear()
+    f = exp_poly_family(5, Poly.monomial(2), 1, 0)  # 5 + z^2 e^z
+    assert decide_range(f, MatrixQi.block_diag([J(2, 5), J(1, 5)])).solvable
+    # P = z^2 once, in the profile; char(A)
+    assert len(calls) == 2
 
 
 def full_decomposition_witness(f, a):
