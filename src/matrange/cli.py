@@ -154,8 +154,15 @@ def _render_text(obj, indent=0):
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 1, structured); subparsers inherit it."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matrange",
         description="Exact solvability analysis of f(X)=A for entire functions of matrices",
     )
@@ -197,13 +204,12 @@ def _emit_error(args, code, kind, message):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         result = args.handler(args)
+    except SystemExit as e:  # --help
+        return 1 if e.code not in (0, None) else 0
     except ParseError as e:
         return _emit_error(args, 1, "parse", str(e))
     except PreconditionError as e:

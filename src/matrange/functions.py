@@ -4,10 +4,10 @@ with fully known ramification data.
 A totally ramified value (TRV) of f is a value a such that every root of
 f(z) = a has multiplicity at least 2; an entire function has at most two,
 a polynomial at most one. A non-constant entire function omits at most one
-value, and omitting one rules TRVs out. The detector and the catalog
-metadata enforce these bounds as hard invariants. A polynomial's TRV is read
-off the square-free decomposition of its critical value polynomial, and the
-profile carries each TRV's preimages (preimage_roots, run once per TRV).
+value, and omitting one rules TRVs out; validate re-checks these bounds. A
+polynomial P has a TRV a iff P - a divides P'^2, and one division leaves one
+candidate a, so a second TRV cannot arise. The profile carries each TRV's
+preimages (preimage_roots, run once per TRV).
 
 Catalog families:
   * sin family      f(z) = ((a-b)/2) sin(cz+d) + (a+b)/2, a != b, c != 0:
@@ -31,7 +31,6 @@ from .polynomials import (
     gaussian_rational_roots,
     multiplicity_multiset,
     squarefree_decomposition,
-    critical_value_polynomial,
 )
 from .scalars import GaussianRational, Qi, parse_scalar, render_scalar
 
@@ -152,49 +151,42 @@ def exp_poly_family(v, p: Poly, c, d) -> EntireFunction:
 
 
 def polynomial_trvs(f: EntireFunction):
-    """TRVs of a polynomial f = P over Q(i), read off the square-free
-    decomposition of the critical value polynomial D, with no root search.
-    Let d = deg P. If a is a TRV, P - a has r <= d/2 distinct roots, each of
-    multiplicity m >= 2 and a root of P' of multiplicity m - 1; so a is a
-    root of D (degree d - 1) of multiplicity d - r >= d/2, and any other root
-    of D has multiplicity at most r - 1 < d/2. The only candidate is thus the
-    root of the one square-free factor of D with 2 mult >= d, which is linear
-    (so the TRV lies in Q(i)); it is a TRV iff P - a has no simple root."""
+    """TRVs of f = P over Q(i), by one division. A root of P - a of
+    multiplicity m is one of P'^2 of multiplicity 2m - 2 >= m iff m >= 2, so a
+    is a TRV iff (P - a) | P'^2. With P'^2 = c1 P + c0, deg c0 < d = deg P,
+    P'^2 mod (P - a) is c0 + a c1; as c1 != 0 (degree d - 2), only one a in
+    Q(i) zeroes its top coefficient, and it is the one candidate."""
     if f.poly.degree < 2:
-        return []
-    d_factors = squarefree_decomposition(critical_value_polynomial(f.poly))
-    heavy = [g for g, mult in d_factors if 2 * mult >= f.poly.degree]
-    if sum(g.degree for g in heavy) > 1:
-        raise InternalInvariantError("a polynomial can have at most one totally ramified value")
-    if not heavy:
-        return []
-    value = -heavy[0].coeff(0)
+        return ()
+    dp = f.poly.derivative()
+    c1, c0 = (dp * dp).divmod(f.poly)
+    value = -c0.coeff(c1.degree) / c1.leading()
+    if not (c0 + c1.scale(value)).is_zero():
+        return ()
     info = preimage_roots(f, value)
-    return [] if 1 in info.multiset else [TrvEntry(value, info.multiset, False, info)]
+    if 1 in info.multiset:
+        raise InternalInvariantError("a simple root of P - a, though P - a divides P'^2")
+    return (TrvEntry(value, info.multiset, False, info),)
 
 
 # -- profiles ------------------------------------------------------------------
 
 
 def ramification_profile(f: EntireFunction) -> RamificationProfile:
-    if f.kind == "polynomial":
-        trvs = tuple(polynomial_trvs(f))
-        case = TheoremCase.ONE_TRV if trvs else TheoremCase.NO_TRV
-        return RamificationProfile((), trvs, case)
     if f.kind == "sin_family":
         trvs = tuple(
             TrvEntry(value, (2,), True, preimage_roots(f, value))
             for value in sorted((f.a, f.b), key=lambda x: x.sort_key())
         )
         return RamificationProfile((), trvs, TheoremCase.TWO_TRV)
-    # exp-poly family
-    if f.poly.is_constant():
+    if f.kind == "polynomial":
+        trvs = polynomial_trvs(f)
+    elif f.poly.is_constant():  # exp-poly family with P = 1
         return RamificationProfile((f.v,), (), TheoremCase.OMITS_VALUE)
-    info = preimage_roots(f, f.v)
-    if 1 not in info.multiset:
-        trvs = (TrvEntry(f.v, info.multiset, False, info),)
-        return RamificationProfile((), trvs, TheoremCase.ONE_TRV)
-    return RamificationProfile((), (), TheoremCase.NO_TRV)
+    else:
+        info = preimage_roots(f, f.v)
+        trvs = () if 1 in info.multiset else (TrvEntry(f.v, info.multiset, False, info),)
+    return RamificationProfile((), trvs, TheoremCase.ONE_TRV if trvs else TheoremCase.NO_TRV)
 
 
 class PreimageKind(Enum):

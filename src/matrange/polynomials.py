@@ -3,9 +3,9 @@
 Everything here is pure and exact: Horner evaluation, formal derivatives,
 monic Euclidean gcd, Yun square-free decomposition, exact division, root
 finding in Q(i) by p-adic (Hensel) lifting at a split prime p = 1 (mod 4),
-and the critical value polynomial D(a), the characteristic polynomial of
-multiplication by P modulo P' (so Res_z(P(z) - a, P'(z)) made monic). Only
-integer and Fraction arithmetic is used.
+and the critical value polynomial D(a) = Res_z(P(z) - a, P'(z)) made monic,
+the characteristic polynomial of multiplication by P modulo P' (public API,
+off the decision path). Only integer and Fraction arithmetic is used.
 """
 
 from __future__ import annotations

@@ -149,6 +149,29 @@ def test_unreadable_input_is_a_parse_error(capsys, tmp_path):
     assert json.loads(proc.stderr)["error"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--matrix", NILPOTENT_2, "--value", "-1/2"],  # "-1/2" read as an option
+        ["decide", "--matrix", NILPOTENT_2],  # --function missing
+        ["describe-range", "--function", SQUARE, "--n", "x"],
+        ["analyze", "--function", SQUARE, "--bogus", "1"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_usage_errors_are_parse_errors(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["decide", "--help"]) == 0
+    assert "--function" in capsys.readouterr().out
+
+
 def test_unknown_function_type_rejected():
     code, _, err = run_cli("analyze", "--function", '{"type":"cosh","coeffs":[]}')
     assert code == 1
@@ -330,8 +353,9 @@ def _json_or_file(objects):
     matrix=_json_or_file(MATRICES),
     value=VALID | st.text(max_size=10),
     n=st.integers(-2, 5),
+    joined=st.booleans(),
 )
-def test_cli_fuzz_ends_in_json_or_structured_error(tmp_path_factory, command, function, matrix, value, n):
+def test_cli_fuzz_ends_in_json_or_structured_error(tmp_path_factory, command, function, matrix, value, n, joined):
     folder = tmp_path_factory.getbasetemp()
     drawn = {"function": function, "matrix": matrix, "value": value, "n": str(n)}
     argv = [command]
@@ -341,7 +365,9 @@ def test_cli_fuzz_ends_in_json_or_structured_error(tmp_path_factory, command, fu
             path = folder / f"fuzz-{flag}.json"
             path.write_bytes(arg)
             arg = str(path)
-        argv.append(f"--{flag}={arg}")  # never read as an option
+        # "--flag=value" is never read as an option; "--flag value" is when
+        # the value starts with "-", a usage error
+        argv += [f"--{flag}={arg}"] if joined else [f"--{flag}", arg]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_exact_multiplicities_match_numerical_root_clusters(rng):
         assert sorted(seen.values()) == exact
 
 
-# -- differential oracle: the candidate search on D ----------------------------
+# -- differential oracles: the two detectors built on D -----------------------
 
 
 def nonzero(c):
@@ -216,6 +217,15 @@ def dense(rng):
     return Poly([random_scalar(rng, 3, 1) for _ in range(deg)] + [nonzero(lead)])
 
 
+def assert_detector_matches(p, oracle):
+    profile = ramification_profile(polynomial_function(p))
+    got = [(e.value, e.multiplicity_multiset) for e in profile.trv_entries]
+    assert got == oracle(p), p
+    for e in profile.trv_entries:
+        assert e.preimages == preimage_roots(polynomial_function(p), e.value)
+    return profile.trv_entries
+
+
 def test_trv_detector_matches_candidate_search():
     rng = random.Random(10)
     z = Poly.monomial(1)
@@ -225,19 +235,53 @@ def test_trv_detector_matches_candidate_search():
     corpus += [dense(rng) for _ in range(80)]
     with_trv = 0
     for p in corpus:
-        profile = ramification_profile(polynomial_function(p))
-        got = [(e.value, e.multiplicity_multiset) for e in profile.trv_entries]
-        assert got == trv_oracles.polynomial_trvs(p), p
-        for e in profile.trv_entries:
-            assert e.preimages == preimage_roots(polynomial_function(p), e.value)
-        with_trv += bool(got)
+        assert trv_oracles.heavy_factor(p) == trv_oracles.candidate_search(p)
+        with_trv += bool(assert_detector_matches(p, trv_oracles.candidate_search))
     assert with_trv > 120  # the planted corpus exercises the TRV branch
 
 
+def test_trv_detector_matches_heavy_factor_up_to_degree_16():
+    # preimages outside Q(i): Q^k + t, and lc * Q1^m1 Q2^m2 + t with dense
+    # Q, Q1, Q2, once with an extra simple factor; then dense P
+    rng = random.Random(16)
+
+    def factor(deg):
+        return Poly([random_scalar(rng, 2, 1) for _ in range(deg)] + [Qi(1)])
+
+    def shift():
+        return Poly.constant(random_scalar(rng, 3, 2))
+
+    corpus = [factor(rng.randint(1, 4)) ** rng.randint(2, 4) + shift() for _ in range(12)]
+    for simple in (False, True) * 6:
+        p = factor(rng.randint(1, 3)) ** rng.randint(2, 3) * factor(rng.randint(1, 2)) ** rng.randint(2, 3)
+        if simple:
+            p = p * factor(1)
+        corpus.append(p.scale(nonzero(random_scalar(rng, 3, 2))) + shift())
+    corpus += [factor(deg) for deg in (9, 10, 11, 12, 16)]
+    entries = []
+    for p in corpus:
+        entries += assert_detector_matches(p, trv_oracles.heavy_factor)
+    assert len(entries) >= 18
+    assert sum(not e.preimages.complete for e in entries) >= 12
+    assert max(p.degree for p in corpus) == 16
+
+
 def test_two_heavy_critical_values_are_an_internal_error(monkeypatch):
-    # roots 0 and 1 of multiplicity >= deg P / 2 = 2: one heavy factor of
-    # degree 2, then two heavy linear factors
+    # the heavy-factor oracle: roots 0 and 1 of multiplicity >= deg P / 2 = 2,
+    # as one heavy factor of degree 2, then as two heavy linear factors
     for fake_d in (Poly.from_roots([0, 0, 1, 1]), Poly.from_roots([0, 0, 1, 1, 1])):
-        monkeypatch.setattr(functions, "critical_value_polynomial", lambda p: fake_d)
+        monkeypatch.setattr(trv_oracles, "critical_value_polynomial", lambda p: fake_d)
         with pytest.raises(InternalInvariantError):
-            ramification_profile(polynomial_function(Poly.monomial(4)))
+            trv_oracles.heavy_factor(Poly.monomial(4))
+
+
+def test_simple_root_at_the_division_trv_is_an_internal_error(monkeypatch):
+    original = functions.preimage_roots
+
+    def with_simple_root(f, value):
+        info = original(f, value)
+        return dataclasses.replace(info, multiset=(1,) + info.multiset)
+
+    monkeypatch.setattr(functions, "preimage_roots", with_simple_root)
+    with pytest.raises(InternalInvariantError):
+        ramification_profile(poly_f([0, 0, 1]))

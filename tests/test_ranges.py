@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -413,13 +414,40 @@ def test_one_squarefree_decomposition_per_polynomial(monkeypatch):
         monkeypatch.setattr(module, "squarefree_decomposition", counted)
     a = MatrixQi.block_diag([J(2, 0), J(1, 0), MatrixQi.diagonal([4, 9, 1])])
     assert decide_range(poly_f([0, 0, 1]), a).solvable
-    # D(a); z^2 once, in the profile; char(A); z^2 - lam at 4, 9 and 1
-    assert len(calls) == 6
+    # z^2 once, in the profile; char(A); z^2 - lam at 4, 9 and 1
+    assert len(calls) == 5
     calls.clear()
     f = exp_poly_family(5, Poly.monomial(2), 1, 0)  # 5 + z^2 e^z
     assert decide_range(f, MatrixQi.block_diag([J(2, 5), J(1, 5)])).solvable
     # P = z^2 once, in the profile; char(A)
     assert len(calls) == 2
+
+
+def test_decision_path_never_builds_the_critical_value_polynomial(monkeypatch):
+    def refuse(p):
+        raise AssertionError("critical_value_polynomial called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matrange" and hasattr(module, "critical_value_polynomial"):
+            monkeypatch.setattr(module, "critical_value_polynomial", refuse)
+    z = Poly.monomial(1)
+    cases = [
+        (poly_f([0, 0, 1]), MatrixQi.block_diag([J(2, 0), J(1, 0), MatrixQi.diagonal([4])])),  # TRV 0
+        (poly_f([3, 0, 1]), J(2, 3)),  # TRV 3, blocked
+        # TRV 1 with preimages +-sqrt(2): solvable, no witness over Q(i)
+        (polynomial_function((z * z - Poly.constant(2)) ** 2 + Poly.constant(1)), MatrixQi.diagonal([1, 1])),
+        (poly_f([0, -1, 0, 1]), MatrixQi.diagonal([0, 6])),  # z^3 - z: no TRV
+        (poly_f([1, 1]), J(3, 2)),  # degree 1
+    ]
+    for f, a in cases:
+        functions.ramification_profile(f)
+        verdict = decide_range(f, a)
+        if verdict.solvable:
+            try:
+                build_witness(f, a, verdict)
+            except WitnessUnavailable:
+                pass
+        describe_range(f, 4)
 
 
 def full_decomposition_witness(f, a):
